@@ -34,7 +34,6 @@ from .model import (
     InContextClassifier,
     ModelConfig,
     SupportQueryBatch,
-    build_mask,
     embed_query,
     embed_support,
     encoder_forward,

@@ -6,10 +6,13 @@ tolerances. No broadcasting beyond bias rows, no views, no GPU.
 
 Freezing is gradient suppression: a tensor with ``requires_grad=False``
 participates in the forward graph like any other but never accumulates
-gradient, so its bytes cannot change through training.
+gradient, so its bytes cannot change through training. Inside ``no_grad()``
+nothing is recorded, so a forward pass keeps no intermediate arrays alive.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -110,17 +113,27 @@ class ComputationTape:
         return cls(nodes)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Operations in this block record no graph and require no gradient."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(out_data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(out_data, requires_grad=_recording
+                 and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
     return out
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +156,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g.sum(axis=0) if row_broadcast else g)
 
     return _op(out_data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(-g)
-
-    return _op(-a.data, (a,), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -182,15 +188,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _op(np.asarray(a.data.sum()), (a,), backward)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward(g):
-        a._accumulate(np.full_like(a.data, g.item() / n))
-
-    return _op(np.asarray(a.data.mean()), (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
@@ -209,16 +206,6 @@ def linear_forward(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w with an optional bias row added to every output row."""
     y = matmul(x, w)
     return y if b is None else add(y, b)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose2d on shape {a.shape}")
-
-    def backward(g):
-        a._accumulate(np.ascontiguousarray(g.T))
-
-    return _op(np.ascontiguousarray(a.data.T), (a,), backward)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -310,25 +297,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat_cols of nothing")
-    heights = {p.shape[0] for p in parts}
-    if any(p.data.ndim != 2 for p in parts) or len(heights) != 1:
-        raise DimensionError(f"concat_cols shapes {[p.shape for p in parts]}")
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(np.ascontiguousarray(g[:, lo:hi]))
-
-    return _op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
-
-
 # ---------------------------------------------------------------------------
-# nonlinearities and losses
+# nonlinearities, attention and losses
 # ---------------------------------------------------------------------------
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -337,12 +307,12 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(x: Tensor) -> Tensor:
     # tanh form; the backward uses the exact derivative of this same form,
     # which keeps finite-difference checks honest.
-    u = _GELU_C * (x.data + 0.044715 * x.data**3)
+    u = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
     t = np.tanh(u)
     out_data = 0.5 * x.data * (1.0 + t)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
         x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du))
 
     return _op(out_data, (x,), backward)
@@ -373,29 +343,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             x._accumulate(inv * term)
 
     return _op(out_data, (x, gain, bias), backward)
-
-
-def masked_softmax(scores: Tensor, allow: np.ndarray) -> Tensor:
-    """Row softmax over the positions where ``allow`` is True.
-
-    Disallowed positions get exactly zero weight. Every row must allow at
-    least one position.
-    """
-    allow = np.asarray(allow, dtype=bool)
-    if allow.shape != scores.shape:
-        raise DimensionError(f"mask {allow.shape} vs scores {scores.shape}")
-    if not allow.any(axis=1).all():
-        raise DimensionError("masked_softmax: a row allows no positions")
-    shifted = np.where(allow, scores.data, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
-        scores._accumulate(p * (g - inner))
-
-    return _op(p, (scores,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -429,6 +376,65 @@ def softmax_rows(data: np.ndarray) -> np.ndarray:
     shifted = data - data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
+    """Multi-head attention over n rows whose first ``s`` are supports.
+
+    Every row attends to all supports and each query also to itself, never
+    to another query. Head h uses column block h of the (n, d) projections.
+    Scores are a (heads, n, s) block plus one self score per query, never
+    an (n, n) matrix. Returns the per-head contexts side by side, (n, d).
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    n, d = q.shape
+    if heads < 1 or d % heads or not 1 <= s <= n:
+        raise DimensionError(f"attention: {heads} heads, {s} supports, shape {q.shape}")
+    scale = 1.0 / np.sqrt(d // heads)
+
+    def split(a):   # (n, d) -> (heads, n, d / heads)
+        return np.ascontiguousarray(a.reshape(n, heads, -1).transpose(1, 0, 2))
+
+    def merge(a):   # inverse of split
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    ks, vs = kh[:, :s], vh[:, :s]
+    own = (qh[:, s:] * kh[:, s:]).sum(axis=2) * scale   # query self scores
+    p = np.matmul(qh, ks.transpose(0, 2, 1))
+    p *= scale
+    top = p.max(axis=2)
+    np.maximum(top[:, s:], own, out=top[:, s:])
+    p -= top[:, :, None]
+    np.exp(p, out=p)
+    p_own = np.exp(own - top[:, s:])
+    total = p.sum(axis=2)
+    total[:, s:] += p_own
+    p /= total[:, :, None]
+    p_own /= total[:, s:]
+    out = np.matmul(p, vs)
+    out[:, s:] += p_own[:, :, None] * vh[:, s:]
+
+    def backward(g):
+        gh = split(g)
+        dp = np.matmul(gh, vs.transpose(0, 2, 1))
+        dp_own = (gh[:, s:] * vh[:, s:]).sum(axis=2)
+        inner = (dp * p).sum(axis=2)
+        inner[:, s:] += dp_own * p_own
+        dp -= inner[:, :, None]
+        dp *= p                               # d loss / d scaled scores
+        d_own = p_own * (dp_own - inner[:, s:])
+        dq = np.matmul(dp, ks)
+        dq[:, s:] += d_own[:, :, None] * kh[:, s:]
+        dk = np.concatenate([np.matmul(dp.transpose(0, 2, 1), qh),
+                             d_own[:, :, None] * qh[:, s:]], axis=1)
+        dv = np.concatenate([np.matmul(p.transpose(0, 2, 1), gh),
+                             p_own[:, :, None] * gh[:, s:]], axis=1)
+        for t, grad in ((q, dq * scale), (k, dk * scale), (v, dv)):
+            t._accumulate(merge(grad))
+
+    return _op(merge(out), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

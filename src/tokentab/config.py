@@ -8,6 +8,7 @@ mapping is written into every output directory for provenance.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -66,6 +67,9 @@ def resolve(cls, file_map: dict[str, str] | None, overrides: dict | None):
         if key not in field_types:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = value
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"non-finite value {value!r} for key {key!r}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:

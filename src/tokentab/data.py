@@ -8,6 +8,7 @@ never fail.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,12 @@ def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
     feature column is parsed as numeric. The target column must be present
     and non-missing on every row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -84,7 +84,6 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
         InContextClassifier,
         ModelConfig,
         SupportQueryBatch,
-        build_mask,
         encoder_forward,
     )
     from .tokenizer import FeatureTokenizer, orthogonal_loss
@@ -108,13 +107,12 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
     results["token_layer"] = grad_check(
         ft_target, [tok.w_num, tok.table.weights, tok.identifiers], eps=eps)
 
-    # encoder stack under a support/query mask
+    # encoder stack over 2 supports and 2 queries
     stack = [EncoderLayer(embed_dim, heads, ff_dim, rng) for _ in range(layers)]
     x = Tensor(rng.standard_normal((4, embed_dim)), requires_grad=True)
-    allow = build_mask(2, 2)
 
     def encoder_target():
-        h = encoder_forward(x, allow, stack)
+        h = encoder_forward(x, 2, stack)
         return sum_all(mul(h, h))
 
     enc_params = [x] + [t for layer in stack

@@ -2,9 +2,10 @@
 
 One episode is a single forward pass: labelled support rows and unlabelled
 query rows are embedded, concatenated, and run through a pre-norm encoder
-stack under a mask that lets supports attend to each other while each
-query sees only the supports and itself. A linear head on the query
-positions yields class logits; no parameter changes at prediction time.
+stack whose attention lets supports attend to each other while each query
+sees only the supports and itself. A linear head on the query positions
+yields class logits; no parameter changes at prediction time, and
+prediction records no backward graph.
 """
 
 from __future__ import annotations
@@ -18,20 +19,18 @@ from .autodiff import (
     NumericError,
     Tensor,
     add,
-    concat_cols,
+    attention,
     concat_rows,
     gelu,
     layer_norm,
     linear_forward,
-    masked_softmax,
-    matmul,
     mul_scalar,
+    no_grad,
     outer_scale_row,
     row,
     slice_cols,
     slice_rows,
     softmax_rows,
-    transpose2d,
 )
 from .tokenizer import (
     FeatureSchema,
@@ -101,27 +100,12 @@ class SupportQueryBatch:
         return self.query_num.shape[0]
 
 
-def build_mask(s: int, q: int) -> np.ndarray:
-    """Attention permission matrix over the s supports followed by q queries.
-
-    Supports attend to every support; each query attends to every support
-    and to itself, never to another query.
-    """
-    if s < 1 or q < 1:
-        raise ValueError(f"need s >= 1 and q >= 1, got s={s}, q={q}")
-    allow = np.zeros((s + q, s + q), dtype=bool)
-    allow[:, :s] = True
-    allow[s:, s:] = np.eye(q, dtype=bool)
-    return allow
-
-
 class EncoderLayer:
-    """Pre-norm transformer encoder layer: masked attention then feed-forward."""
+    """Pre-norm transformer encoder layer: support/query attention then feed-forward."""
 
     def __init__(self, dim: int, heads: int, ff_dim: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise DimensionError(f"dim {dim} not divisible by heads {heads}")
-        self.dim = dim
         self.heads = heads
         std = 1.0 / np.sqrt(dim)
 
@@ -150,35 +134,22 @@ class EncoderLayer:
                  "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"]
         return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
 
-    def forward(self, x: Tensor, allow: np.ndarray) -> Tensor:
+    def forward(self, x: Tensor, s: int) -> Tensor:
+        """One layer over rows whose first ``s`` are supports, the rest queries."""
         h = layer_norm(x, self.ln1_g, self.ln1_b)
-        q_all = linear_forward(h, self.wq, self.bq)
-        k_all = linear_forward(h, self.wk, self.bk)
-        v_all = linear_forward(h, self.wv, self.bv)
-        dk = self.dim // self.heads
-        scale = 1.0 / np.sqrt(dk)
-        contexts = []
-        for head in range(self.heads):
-            lo, hi = head * dk, (head + 1) * dk
-            qh = slice_cols(q_all, lo, hi)
-            kh = slice_cols(k_all, lo, hi)
-            vh = slice_cols(v_all, lo, hi)
-            scores = mul_scalar(matmul(qh, transpose2d(kh)), scale)
-            weights = masked_softmax(scores, allow)
-            contexts.append(matmul(weights, vh))
-        attended = linear_forward(concat_cols(contexts), self.wo, self.bo)
-        x = add(x, attended)
+        context = attention(linear_forward(h, self.wq, self.bq),
+                            linear_forward(h, self.wk, self.bk),
+                            linear_forward(h, self.wv, self.bv), s, self.heads)
+        x = add(x, linear_forward(context, self.wo, self.bo))
         f = layer_norm(x, self.ln2_g, self.ln2_b)
         f = linear_forward(gelu(linear_forward(f, self.w1, self.b1)), self.w2, self.b2)
         return add(x, f)
 
 
-def encoder_forward(x: Tensor, allow: np.ndarray, layers) -> Tensor:
-    """Run the encoder stack; an empty stack is the identity."""
-    if allow.shape != (x.shape[0], x.shape[0]):
-        raise DimensionError(f"mask {allow.shape} vs sequence {x.shape}")
+def encoder_forward(x: Tensor, s: int, layers) -> Tensor:
+    """Run the stack over ``s`` supports then queries; empty is the identity."""
     for i, layer in enumerate(layers):
-        x = layer.forward(x, allow)
+        x = layer.forward(x, s)
         if not np.isfinite(x.data).all():
             raise NumericError(f"non-finite activations after encoder layer {i}")
     return x
@@ -250,7 +221,7 @@ class InContextClassifier:
                 f"{self.config.max_classes}"
             )
         x = self.forward_embeddings(batch)
-        h = encoder_forward(x, build_mask(batch.s, batch.q), self.layers)
+        h = encoder_forward(x, batch.s, self.layers)
         queries = slice_rows(h, batch.s, batch.s + batch.q)
         logits = linear_forward(queries, self.head_w, self.head_b)
         if batch.n_classes < self.config.max_classes:
@@ -258,8 +229,10 @@ class InContextClassifier:
         return logits
 
     def predict_proba(self, batch: SupportQueryBatch) -> Tensor:
-        """Row-wise softmax over the query logits (detached)."""
-        return Tensor(softmax_rows(self.predict_logits(batch).data))
+        """Row-wise softmax over the query logits, computed without a graph."""
+        with no_grad():
+            logits = self.predict_logits(batch)
+        return Tensor(softmax_rows(logits.data))
 
 
 # ---------------------------------------------------------------------------

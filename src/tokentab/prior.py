@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericError, softmax_cross_entropy
+from .autodiff import NumericError, no_grad, softmax_cross_entropy
 from .model import InContextClassifier, ModelConfig, SupportQueryBatch
 from .optim import Adam
 from .tokenizer import FeatureTokenizer
@@ -229,7 +229,8 @@ def holdout_episodes(cfg: PriorConfig, count: int) -> list[SupportQueryBatch]:
 
 def mean_holdout_loss(model: InContextClassifier,
                       episodes: list[SupportQueryBatch]) -> float:
-    losses = [_episode_loss(model, b).item() for b in episodes]
+    with no_grad():
+        losses = [_episode_loss(model, b).item() for b in episodes]
     return float(np.mean(losses)) if losses else float("nan")
 
 

@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor, add, mul_scalar, softmax_cross_entropy
+from .autodiff import (NumericError, Tensor, add, mul_scalar, no_grad,
+                       softmax_cross_entropy, softmax_rows)
 from .data import (
     EncodedDataset,
     NormalizationStats,
@@ -214,7 +215,11 @@ def trainable_parameters(model: InContextClassifier):
 def total_loss(batch: SupportQueryBatch, model: InContextClassifier,
                cfg: FinetuneConfig):
     """Query cross-entropy plus the weighted identifier orthogonality penalty."""
-    logits = model.predict_logits(batch)
+    return _loss_from_logits(model.predict_logits(batch), batch, model, cfg)
+
+
+def _loss_from_logits(logits, batch: SupportQueryBatch,
+                      model: InContextClassifier, cfg: FinetuneConfig):
     ce = softmax_cross_entropy(logits, batch.query_y)
     lam = cfg.effective_lambda
     if lam > 0.0 and model.tokenizer.identifiers is not None:
@@ -223,8 +228,11 @@ def total_loss(batch: SupportQueryBatch, model: InContextClassifier,
 
 
 def _episode_metrics(model, batch, cfg) -> tuple[float, float, float]:
-    loss = total_loss(batch, model, cfg).item()
-    probs = model.predict_proba(batch).data
+    # one graph-free forward yields both the loss and the probabilities
+    with no_grad():
+        logits = model.predict_logits(batch)
+        loss = _loss_from_logits(logits, batch, model, cfg).item()
+    probs = softmax_rows(logits.data)
     acc = accuracy(probs, batch.query_y)
     try:
         auc = roc_auc_ovo(probs, batch.query_y)

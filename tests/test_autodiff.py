@@ -5,23 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attention_oracle import concat_cols, masked_softmax, transpose2d
 from tokentab.autodiff import (
     DimensionError,
     Tensor,
     add,
     aggregate_tokens,
-    concat_cols,
+    attention,
     concat_rows,
     gather_rows,
     gelu,
     layer_norm,
     linear_forward,
-    masked_softmax,
     matmul,
-    mean_all,
     mul,
     mul_scalar,
-    neg,
+    no_grad,
     outer_scale_row,
     row,
     slice_cols,
@@ -29,7 +28,6 @@ from tokentab.autodiff import (
     softmax_cross_entropy,
     softmax_rows,
     sum_all,
-    transpose2d,
 )
 from tokentab.gradcheck import grad_check
 from tokentab.optim import Adam
@@ -165,14 +163,12 @@ def _scalarize(out, seed=0):
 OP_CASES = {
     "add": lambda a, b: add(a, b),
     "add_bias_row": lambda a, v: add(a, v),
-    "neg": lambda a: neg(a),
     "mul": lambda a, b: mul(a, b),
     "mul_scalar": lambda a: mul_scalar(a, 1.7),
     "matmul": lambda a, b: matmul(a, b),
     "transpose": lambda a: transpose2d(a),
     "gelu": lambda a: gelu(a),
     "sum": lambda a: sum_all(a),
-    "mean": lambda a: mean_all(a),
     "slice_rows": lambda a: slice_rows(a, 1, 3),
     "slice_cols": lambda a: slice_cols(a, 0, 2),
     "concat_rows": lambda a, b: concat_rows([a, b]),
@@ -248,6 +244,71 @@ class TestPrimitiveGradients:
         err = grad_check(lambda: softmax_cross_entropy(logits, labels),
                          [logits], eps=1e-5)
         assert err < 1e-5
+
+
+class TestAttention:
+    """The fused support/query op against central differences and the dense chain."""
+
+    @pytest.mark.parametrize("s", [1, 3, 5])
+    def test_gradients_for_q_k_v(self, s):
+        rng = np.random.default_rng(s)
+        q, k, v = (tensor(rng.standard_normal((5, 6))) for _ in range(3))
+        err = grad_check(lambda: _scalarize(attention(q, k, v, s, 2), s),
+                         [q, k, v], eps=1e-5)
+        assert err < 1e-5
+
+    @given(st.integers(1, 6), st.integers(0, 4), st.sampled_from([1, 2, 4]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_masked_chain(self, s, q_rows, heads, seed):
+        from attention_oracle import dense_attention, mask_for
+
+        rng = np.random.default_rng(seed)
+        n = s + q_rows
+        inputs = [rng.standard_normal((n, 4)) for _ in range(3)]
+        fused_args = [tensor(a) for a in inputs]
+        dense_args = [tensor(a) for a in inputs]
+        fused = attention(*fused_args, s, heads)
+        dense = dense_attention(*dense_args, mask_for(s, n), heads)
+        assert np.allclose(fused.data, dense.data, rtol=0.0, atol=1e-12)
+        _scalarize(fused, seed).backward()
+        _scalarize(dense, seed).backward()
+        for a, b in zip(fused_args, dense_args):
+            assert np.allclose(a.grad, b.grad, rtol=0.0, atol=1e-12)
+
+    def test_rejects_bad_support_count_and_heads(self):
+        q = tensor(np.zeros((3, 4)))
+        for s, heads in [(0, 2), (4, 2), (2, 3)]:
+            with pytest.raises(DimensionError):
+                attention(q, q, q, s, heads)
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        a = tensor([[1.0, 2.0]])
+        with no_grad():
+            out = sum_all(mul(a, a))
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert out.item() == 5.0
+
+    def test_recording_restored_after_exception(self):
+        a = tensor([[1.0, 2.0]])
+        with pytest.raises(DimensionError):
+            with no_grad():
+                matmul(a, a)
+        out = sum_all(mul(a, a))
+        assert out._parents and out.requires_grad
+        out.backward()
+        assert np.array_equal(a.grad, [[2.0, 4.0]])
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        a = tensor([1.0])
+        with no_grad():
+            with no_grad():
+                pass
+            assert not mul(a, a).requires_grad
+        assert mul(a, a).requires_grad
 
 
 class TestFreezing:

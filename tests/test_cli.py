@@ -67,6 +67,20 @@ class TestPretrainCommand:
         assert code == EXIT_USAGE
         assert "noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys, value):
+        code = main(["pretrain", "--out", str(tmp_path / "o"), f"--lr={value}"])
+        assert code == EXIT_USAGE
+        assert "'lr'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_float_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prior_noise = nan\n")
+        code = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "prior_noise" in capsys.readouterr().err
+
 
 class TestFinetuneCommand:
     def finetune_args(self, ckpt, descriptor, out, variant="full"):
@@ -113,6 +127,14 @@ class TestFinetuneCommand:
         desc.write_text("csv = missing.csv\ntarget = label\n")
         code = main(self.finetune_args(ckpt, desc, tmp_path / "ft"))
         assert code == EXIT_DATA
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, dataset_descriptor, capsys):
+        ckpt = run_pretrain(tmp_path / "pre")
+        csv_path = dataset_descriptor.parent / "data.csv"
+        csv_path.write_bytes(csv_path.read_bytes() + b"\xff,\xfe,1\n")
+        code = main(self.finetune_args(ckpt, dataset_descriptor, tmp_path / "ft"))
+        assert code == EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_bad_variant_is_usage_error(self, tmp_path, dataset_descriptor, capsys):
         ckpt = run_pretrain(tmp_path / "pre")

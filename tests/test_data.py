@@ -45,6 +45,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(write(tmp_path, "e.csv", ""), target="y", categorical=[])
 
+    def test_non_utf8_bytes_are_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("c,label\ncaf\u00e9,y\nx,n\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="byte 11 is not UTF-8"):
+            load_csv(path, target="label", categorical=["c"])
+
     def test_header_only_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(write(tmp_path, "h.csv", "a,label\n"), target="label",

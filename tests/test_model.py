@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attention_oracle
+from attention_oracle import build_mask
 from tokentab.autodiff import NumericError, Tensor
 from tokentab.model import (
     EncoderLayer,
     InContextClassifier,
     ModelConfig,
     SupportQueryBatch,
-    build_mask,
     embed_query,
     embed_support,
     encoder_forward,
@@ -75,7 +76,7 @@ class TestBuildMask:
 class TestEncoderForward:
     def test_zero_depth_is_identity(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
-        out = encoder_forward(x, build_mask(2, 1), [])
+        out = encoder_forward(x, 2, [])
         assert np.array_equal(out.data, x.data)
 
     def test_single_head_matches_plain_numpy_oracle(self):
@@ -84,7 +85,6 @@ class TestEncoderForward:
         dim = 2
         layer = EncoderLayer(dim, 1, 3, rng)
         x = np.array([[0.3, -1.2], [0.8, 0.4]])
-        allow = np.ones((2, 2), dtype=bool)
 
         def ln(v, gain, bias, eps=1e-5):
             mu = v.mean(axis=1, keepdims=True)
@@ -106,22 +106,20 @@ class TestEncoderForward:
         act = 0.5 * pre * (1.0 + np.tanh(c * (pre + 0.044715 * pre**3)))
         expected = mid + act @ layer.w2.data + layer.b2.data
 
-        got = layer.forward(Tensor(x), allow).data
+        got = layer.forward(Tensor(x), 2).data  # two supports: full attention
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_masked_positions_get_zero_attention(self):
+        # a query row is masked out for every row but itself: moving it
+        # must leave the supports and the other query bit-identical
         rng = np.random.default_rng(2)
         layer = EncoderLayer(4, 2, 8, rng)
-        x = rng.standard_normal((3, 4))
-        allow = build_mask(2, 1)
-        # moving a masked-out position must not change the attending row:
-        # query row 2 never sees itself changed via... instead check weights
-        # directly through the softmax layer contract
-        from tokentab.autodiff import masked_softmax
-
-        scores = Tensor(rng.standard_normal((3, 3)))
-        p = masked_softmax(scores, allow).data
-        assert (p[~allow] == 0.0).all()
+        x = rng.standard_normal((4, 4))
+        base = layer.forward(Tensor(x), 2).data
+        x[3] += 5.0
+        moved = layer.forward(Tensor(x), 2).data
+        assert np.array_equal(base[:3], moved[:3])
+        assert not np.array_equal(base[3], moved[3])
 
     def test_nan_activations_reported_with_layer_index(self):
         rng = np.random.default_rng(3)
@@ -129,7 +127,37 @@ class TestEncoderForward:
         stack[1].wo.data[...] = np.nan
         x = Tensor(rng.standard_normal((3, 4)))
         with pytest.raises(NumericError, match="layer 1"):
-            encoder_forward(x, build_mask(2, 1), stack)
+            encoder_forward(x, 2, stack)
+
+
+class TestDenseOracleEquivalence:
+    """The fused encoder matches the dense masked chain it replaced."""
+
+    @given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_logits_and_every_parameter_gradient(self, s, q, seed):
+        from tokentab.training import FinetuneConfig, total_loss
+
+        model = small_model(seed=seed % 7, dim=8, layers=2, heads=4)
+        batch = random_batch(seed=seed, s=s, q=q)
+        cfg = FinetuneConfig(lambda_orth=1.0)
+        params = [t for _, t in model.named_tensors() if t.requires_grad]
+
+        def run():
+            for t in params:
+                t.grad = None
+            loss = total_loss(batch, model, cfg)
+            loss.backward()
+            return model.predict_logits(batch).data, [t.grad.copy() for t in params]
+
+        fused, fused_grads = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("tokentab.model.encoder_forward",
+                       attention_oracle.encoder_forward)
+            dense, dense_grads = run()
+        assert np.allclose(fused, dense, rtol=0.0, atol=1e-12)
+        for a, b in zip(fused_grads, dense_grads):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 class TestPredict:
@@ -219,6 +247,24 @@ class TestPredictProba:
         model.head_b.data[...] = 0.0
         probs = model.predict_proba(random_batch(seed=12)).data
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
+
+    def test_records_no_graph_and_no_gradients(self):
+        model = small_model()
+        logits = []
+        forward = model.predict_logits
+        model.predict_logits = lambda b: logits.append(forward(b)) or logits[-1]
+        probs = model.predict_proba(random_batch(seed=15))
+        assert probs._parents == () and probs._backward is None
+        assert logits[0]._parents == () and not logits[0].requires_grad
+        assert all(t.grad is None for _, t in model.named_tensors())
+
+    def test_matches_softmax_of_logits(self):
+        from tokentab.autodiff import softmax_rows
+
+        model = small_model()
+        batch = random_batch(seed=16)
+        expected = softmax_rows(model.predict_logits(batch).data)
+        assert np.array_equal(model.predict_proba(batch).data, expected)
 
     def test_rows_sum_to_one(self):
         probs = small_model().predict_proba(random_batch(seed=13)).data

@@ -98,6 +98,19 @@ class TestTotalLoss:
         batch = sample_episode(train, np.random.default_rng(0), 0.7)
         assert np.isfinite(total_loss(batch, model, cfg).item())
 
+    def test_episode_metrics_match_separate_forwards_exactly(self, tiny_backbone):
+        from tokentab.metrics import accuracy, roc_auc_ovo
+        from tokentab.training import _episode_metrics
+
+        model, cfg, train = self.build(tiny_backbone, lambda_orth=1.0)
+        batch = sample_episode(train, np.random.default_rng(2), 0.7)
+        probs = model.predict_proba(batch).data
+        expected = (total_loss(batch, model, cfg).item(),
+                    accuracy(probs, batch.query_y),
+                    roc_auc_ovo(probs, batch.query_y))
+        assert _episode_metrics(model, batch, cfg) == expected
+        assert all(t.grad is None for _, t in model.named_tensors())
+
 
 class TestFinetune:
     def setup_case(self, tiny_backbone, epochs=3, **kw):
