@@ -378,6 +378,21 @@ def softmax_rows(data: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+# Rows per attention block. Inference holds a (heads, block, S) score block,
+# never (heads, n, S); an episode of up to one block is computed in one piece.
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Split n rows into ceil(n / block) nearly equal consecutive blocks.
+
+    With two or more blocks each has at least half the block's rows, so
+    no block is small enough for BLAS to switch to a different kernel.
+    """
+    count = -(-n // _BLOCK_ROWS)
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
     """Multi-head attention over n rows whose first ``s`` are supports.
 
@@ -385,6 +400,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
     to another query. Head h uses column block h of the (n, d) projections.
     Scores are a (heads, n, s) block plus one self score per query, never
     an (n, n) matrix. Returns the per-head contexts side by side, (n, d).
+
+    The forward runs in blocks of rows (``_row_blocks``); each row's softmax
+    still reads all s supports at once. Without a recorded graph the blocks
+    share one (heads, block, s) scratch buffer; with one they fill the full
+    weight block the backward reads.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -401,20 +421,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     ks, vs = kh[:, :s], vh[:, :s]
-    own = (qh[:, s:] * kh[:, s:]).sum(axis=2) * scale   # query self scores
-    p = np.matmul(qh, ks.transpose(0, 2, 1))
-    p *= scale
-    top = p.max(axis=2)
-    np.maximum(top[:, s:], own, out=top[:, s:])
-    p -= top[:, :, None]
-    np.exp(p, out=p)
-    p_own = np.exp(own - top[:, s:])
-    total = p.sum(axis=2)
-    total[:, s:] += p_own
-    p /= total[:, :, None]
-    p_own /= total[:, s:]
-    out = np.matmul(p, vs)
-    out[:, s:] += p_own[:, :, None] * vh[:, s:]
+    blocks = _row_blocks(n)
+    record = _recording and (q.requires_grad or k.requires_grad or v.requires_grad)
+    if record:
+        p = np.empty((heads, n, s))
+    else:
+        scratch = np.empty(heads * max(b - a for a, b in blocks) * s)
+    p_own = np.empty((heads, n - s))
+    out = np.empty_like(qh)
+    for a, b in blocks:
+        pb = (p[:, a:b] if record
+              else scratch[:heads * (b - a) * s].reshape(heads, b - a, s))
+        c = min(max(a, s), b)   # rows c..b of this block are queries
+        pb_own = p_own[:, c - s:b - s]   # empty when c == b
+        own = (qh[:, c:b] * kh[:, c:b]).sum(axis=2) * scale   # self scores
+        np.matmul(qh[:, a:b], ks.transpose(0, 2, 1), out=pb)
+        pb *= scale
+        top = pb.max(axis=2)
+        np.maximum(top[:, c - a:], own, out=top[:, c - a:])
+        pb -= top[:, :, None]
+        np.exp(pb, out=pb)
+        np.exp(own - top[:, c - a:], out=pb_own)
+        total = pb.sum(axis=2)
+        total[:, c - a:] += pb_own
+        pb /= total[:, :, None]
+        pb_own /= total[:, c - a:]
+        np.matmul(pb, vs, out=out[:, a:b])
+        out[:, c:b] += pb_own[:, :, None] * vh[:, c:b]
 
     def backward(g):
         gh = split(g)

@@ -23,6 +23,7 @@ from .autodiff import Tensor
 
 MAGIC = b"TTCK"
 FORMAT_VERSION = 1
+_REQUIRED_KEYS = ("kind", "model_config", "table_sizes", "params")
 
 
 class CheckpointError(ValueError):
@@ -104,6 +105,11 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    missing = [key for key in _REQUIRED_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
     arrays: dict[str, np.ndarray] = {}
     flags: dict[str, bool] = {}
     pos = 16 + header_len

@@ -77,9 +77,10 @@ def _parse_cell(text: str, kind: str):
         return None
     if kind == NUMERICAL:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             return None  # unparseable numeric cells become missing
+        return value if np.isfinite(value) else None   # so do inf and nan
     return text
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attention_oracle import concat_cols, masked_softmax, transpose2d
+from tokentab import autodiff
 from tokentab.autodiff import (
     DimensionError,
     Tensor,
@@ -281,6 +282,68 @@ class TestAttention:
         for s, heads in [(0, 2), (4, 2), (2, 3)]:
             with pytest.raises(DimensionError):
                 attention(q, q, q, s, heads)
+
+
+# (n, s) at row blocks of 4: s inside a block (7, 2), (9, 5), (10, 1),
+# (13, 8); s on a block edge (7, 3), (9, 6), (12, 4); and s = n.
+BLOCK_CASES = [(7, 2), (7, 3), (7, 7), (9, 5), (9, 6), (10, 1), (12, 4),
+               (12, 12), (13, 8), (13, 13)]
+
+
+class TestBlockedAttention:
+    """Attention in row blocks of 4 against the same rows as one block."""
+
+    @staticmethod
+    def blocked(monkeypatch, n):
+        monkeypatch.setattr(autodiff, "_BLOCK_ROWS", 4)
+        assert len(autodiff._row_blocks(n)) > 1
+
+    @staticmethod
+    def inputs(n, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((n, 4)) for _ in range(3)]
+
+    def test_rows_split_into_even_consecutive_blocks(self):
+        assert autodiff._row_blocks(1) == [(0, 1)]
+        assert autodiff._row_blocks(256) == [(0, 256)]
+        for n in range(257, 3000, 41):
+            blocks = autodiff._row_blocks(n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(b == a for (_, b), (a, _) in zip(blocks, blocks[1:]))
+            assert all(128 <= b - a <= 256 for a, b in blocks)
+
+    @pytest.mark.parametrize("n, s", BLOCK_CASES)
+    def test_no_grad_forward_matches_one_block(self, monkeypatch, n, s):
+        args = [tensor(a) for a in self.inputs(n, s)]
+        with no_grad():
+            whole = attention(*args, s, 2)
+            self.blocked(monkeypatch, n)
+            blocked = attention(*args, s, 2)
+        assert blocked._parents == () and not blocked.requires_grad
+        assert np.allclose(blocked.data, whole.data, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, s", BLOCK_CASES)
+    def test_recorded_forward_and_gradients_match_one_block(self, monkeypatch,
+                                                            n, s):
+        data = self.inputs(n, s)
+        whole_args = [tensor(a) for a in data]
+        whole = attention(*whole_args, s, 2)
+        _scalarize(whole, n).backward()
+        self.blocked(monkeypatch, n)
+        blocked_args = [tensor(a) for a in data]
+        blocked = attention(*blocked_args, s, 2)
+        _scalarize(blocked, n).backward()
+        assert np.allclose(blocked.data, whole.data, rtol=0.0, atol=1e-12)
+        for a, b in zip(blocked_args, whole_args):
+            assert np.allclose(a.grad, b.grad, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, s", [(7, 2), (9, 6), (13, 13)])
+    def test_gradients_of_multi_block_path(self, monkeypatch, n, s):
+        self.blocked(monkeypatch, n)
+        q, k, v = (tensor(a) for a in self.inputs(n, s))
+        err = grad_check(lambda: _scalarize(attention(q, k, v, s, 2), s),
+                         [q, k, v], eps=1e-5)
+        assert err < 1e-5
 
 
 class TestNoGrad:

@@ -164,6 +164,23 @@ class TestEvaluateCommand:
                      "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("key", ["params", "kind", "model_config", "table_sizes"])
+    def test_checkpoint_header_without_key_is_data_error(
+            self, tmp_path, dataset_descriptor, capsys, key):
+        ckpt = run_pretrain(tmp_path / "pre")
+        blob = ckpt.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len])
+        del header[key]
+        text = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text
+                         + blob[16 + header_len:])
+        capsys.readouterr()
+        code = main(["evaluate", "--data", str(dataset_descriptor),
+                     "--checkpoint", str(ckpt)])
+        assert code == EXIT_DATA
+        assert key in capsys.readouterr().err
+
 
 class TestExportHeatmaps:
     def test_matrices_match_in_process_values(self, tmp_path, dataset_descriptor,

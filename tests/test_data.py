@@ -36,6 +36,15 @@ class TestLoadCsv:
         ds = load_csv(path, target="label", categorical=[])
         assert [c[0] for c in ds.cells] == [None, None, None, None, None, 3.0]
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "NAN", "Infinity"])
+    def test_non_finite_numeric_cell_is_like_a_blank_one(self, tmp_path, cell):
+        rows = "x,c,label\n{},a,y\n1.5,b,n\n-2,a,y\n4,,n\n"
+        odd = load_csv(write(tmp_path, "odd.csv", rows.format(cell)),
+                       target="label", categorical=["c"])
+        blank = load_csv(write(tmp_path, "blank.csv", rows.format("")),
+                         target="label", categorical=["c"])
+        assert odd.cells == blank.cells and odd.cells[0][0] is None
+
     def test_sentinels_in_categorical_column(self, tmp_path):
         path = write(tmp_path, "t.csv", "c,label\n?,y\nred,n\n,y\n")
         ds = load_csv(path, target="label", categorical=["c"])

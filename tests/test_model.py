@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import attention_oracle
 from attention_oracle import build_mask
+from tokentab import autodiff
 from tokentab.autodiff import NumericError, Tensor
 from tokentab.model import (
     EncoderLayer,
@@ -275,6 +278,36 @@ class TestPredictProba:
 
         probs = softmax_rows(np.array([[np.log(2.0), 0.0]]))
         assert np.allclose(probs, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
+
+
+class TestRowBlockedInference:
+    """Episodes longer than one attention row block."""
+
+    def test_query_alone_matches_query_among_all_queries(self):
+        model = small_model()
+        batch = random_batch(seed=17, s=200, q=150)
+        assert len(autodiff._row_blocks(batch.s + batch.q)) > 1
+        together = model.predict_proba(batch).data
+        for i in range(batch.q):
+            alone = SupportQueryBatch(
+                support_num=batch.support_num, support_cat=batch.support_cat,
+                support_y=batch.support_y, query_num=batch.query_num[i:i + 1],
+                query_cat=batch.query_cat[i:i + 1], n_classes=batch.n_classes,
+            )
+            assert np.allclose(model.predict_proba(alone).data[0], together[i],
+                               rtol=0.0, atol=1e-12)
+
+    def test_predict_proba_peak_memory_at_1000_plus_1000_rows(self):
+        # the whole (heads, S+Q, S) weight block alone would be 61 MiB here
+        model = small_model(dim=64, layers=3, heads=4)
+        batch = random_batch(seed=18, s=1000, q=1000)
+        tracemalloc.start()
+        try:
+            model.predict_proba(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRowEmbedding:
