@@ -90,6 +90,24 @@ def save_checkpoint(path, model: InContextClassifier, kind: str,
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _is_sizes(value) -> bool:
+    return isinstance(value, list) and all(type(e) is int and e >= 0 for e in value)
+
+
+def _check_param_entry(path, k: int, meta) -> None:
+    """Reject a header ``params`` entry that does not describe one tensor."""
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: params entry {k} is not a JSON object")
+    name = meta.get("name")
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: params entry {k} has no string name")
+    if not _is_sizes(meta.get("shape")):
+        raise CheckpointError(
+            f"{path}: parameter {name} shape {meta.get('shape')!r} is not a list of sizes")
+    if not isinstance(meta.get("requires_grad"), bool):
+        raise CheckpointError(f"{path}: parameter {name} has no boolean requires_grad")
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -110,10 +128,17 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [key for key in _REQUIRED_KEYS if key not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    if not isinstance(header["params"], list):
+        raise CheckpointError(f"{path}: header params is not a list")
+    if not isinstance(header["model_config"], dict):
+        raise CheckpointError(f"{path}: header model_config is not a JSON object")
+    if not _is_sizes(header["table_sizes"]):
+        raise CheckpointError(f"{path}: header table_sizes is not a list of sizes")
     arrays: dict[str, np.ndarray] = {}
     flags: dict[str, bool] = {}
     pos = 16 + header_len
-    for meta in header["params"]:
+    for k, meta in enumerate(header["params"]):
+        _check_param_entry(path, k, meta)
         shape = tuple(meta["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
@@ -146,23 +171,40 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
+def _stored(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
+    """The stored array ``name``; ``shape`` entries of None match any size."""
+    if name not in ckpt.arrays:
+        raise CheckpointError(f"checkpoint lacks parameter {name}")
+    arr = ckpt.arrays[name]
+    if len(arr.shape) != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape)):
+        expected = ["*" if want is None else want for want in shape]
+        raise CheckpointError(f"parameter {name} has shape {list(arr.shape)}, "
+                              f"expected {expected}")
+    return arr
+
+
 def rebuild_model(ckpt: Checkpoint) -> InContextClassifier:
     """Reconstruct the model with the stored parameters and frozen flags."""
-    config = ModelConfig(**ckpt.model_config)
-    w_num = Tensor(ckpt.arrays["tokenizer.w_num"].copy(),
+    try:
+        config = ModelConfig(**ckpt.model_config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint model_config: {exc}") from None
+    d = config.embed_dim
+    w_num = Tensor(_stored(ckpt, "tokenizer.w_num", (None, d)).copy(),
                    requires_grad=ckpt.flags["tokenizer.w_num"])
-    table = CategoricalTokenTable.create(ckpt.table_sizes, config.embed_dim,
+    table = CategoricalTokenTable.create(ckpt.table_sizes, d,
                                          np.random.default_rng(0))
-    table.weights.data[...] = ckpt.arrays["tokenizer.table"]
+    table.weights.data[...] = _stored(ckpt, "tokenizer.table", table.weights.shape)
     table.weights.requires_grad = ckpt.flags["tokenizer.table"]
     identifiers = None
     if "tokenizer.identifiers" in ckpt.arrays:
-        identifiers = Tensor(ckpt.arrays["tokenizer.identifiers"].copy(),
+        identifiers = Tensor(_stored(ckpt, "tokenizer.identifiers", (None, d)).copy(),
                              requires_grad=ckpt.flags["tokenizer.identifiers"])
     tokenizer = FeatureTokenizer(w_num, table, identifiers)
     model = InContextClassifier.create(config, tokenizer,
                                        np.random.default_rng(0))
     for name, t in model.backbone_tensors():
-        t.data[...] = ckpt.arrays[name]
+        t.data[...] = _stored(ckpt, name, t.shape)
         t.requires_grad = ckpt.flags[name]
     return model

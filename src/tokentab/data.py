@@ -15,11 +15,11 @@ import numpy as np
 
 from .tokenizer import (
     CATEGORICAL,
+    NAN_ROW,
     NUMERICAL,
     Column,
     FeatureSchema,
     SchemaError,
-    map_category,
 )
 
 #: cell contents treated as missing after stripping surrounding whitespace
@@ -208,6 +208,13 @@ def encode(data: RawDataset, schema: FeatureSchema,
     cat = np.zeros((rows, schema.m), dtype=np.intp)
     num_positions = [k for k, kind in enumerate(data.kinds) if kind == NUMERICAL]
     cat_positions = [k for k, kind in enumerate(data.kinds) if kind == CATEGORICAL]
+    # map_category as one dict per column; a NaN value is missing, so no
+    # NaN key may match it by identity
+    lookups = [
+        {v: offset + pos for pos, v in enumerate(col.vocabulary)
+         if not (isinstance(v, float) and np.isnan(v))}
+        for col, offset in zip(schema.categorical_columns, schema.offsets)
+    ]
     for r, row_cells in enumerate(data.cells):
         for i, k in enumerate(num_positions):
             v = row_cells[k]
@@ -215,8 +222,8 @@ def encode(data: RawDataset, schema: FeatureSchema,
                 num[r, i] = 0.0
             else:
                 num[r, i] = (float(v) - stats.means[i]) / stats.stds[i]
-        for j, k in enumerate(cat_positions):
-            cat[r, j] = map_category(row_cells[k], j, schema)
+        for j, (k, lookup) in enumerate(zip(cat_positions, lookups)):
+            cat[r, j] = lookup.get(row_cells[k], NAN_ROW)
     return EncodedDataset(num, cat, data.labels.copy(), schema, stats,
                           data.label_names)
 

@@ -19,6 +19,7 @@ from .autodiff import (
     NumericError,
     Tensor,
     add,
+    aggregate_tokens,
     attention,
     concat_rows,
     gelu,
@@ -36,7 +37,6 @@ from .tokenizer import (
     FeatureSchema,
     FeatureTokenizer,
     SchemaError,
-    aggregate_tokens,
     tokenize_categorical,
     tokenize_numerical,
 )

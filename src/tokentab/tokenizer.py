@@ -13,17 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    NumericError,
-    Tensor,
-    add,
-    aggregate_tokens,
-    gather_rows,
-    mul_scalar,
-    outer_scale_row,
-    row,
-    _op,
-)
+from .autodiff import NumericError, Tensor, add, mul_scalar, row, _op
 
 NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
@@ -220,40 +210,77 @@ class FeatureTokenizer:
             out.append(("tokenizer.identifiers", self.identifiers))
         return out
 
-    def feature_tokens(self, num: np.ndarray, cat: np.ndarray) -> list[Tensor]:
-        """One (rows, d) token matrix per feature column of an encoded batch."""
+    def embed_rows(self, num: np.ndarray, cat: np.ndarray) -> Tensor:
+        """Sample embeddings for an encoded batch: (rows, d).
+
+        One op over every feature token. Numerical feature i gives
+        ``num[:, i] * w_num[i]``; categorical feature j gives its table row
+        plus identifier j. The (features, rows, d) token stack is sorted
+        per output coordinate before the sum, so the embedding depends only
+        on the multiset of tokens: permuting feature columns (together with
+        their parameter rows) leaves it bit-identical.
+        """
         num = np.asarray(num, dtype=np.float64)
         cat = np.asarray(cat)
         if num.ndim != 2 or cat.ndim != 2 or num.shape[0] != cat.shape[0]:
             raise SchemaError(
                 f"encoded batch shapes disagree: num {num.shape}, cat {cat.shape}"
             )
-        n_used, m_used = num.shape[1], cat.shape[1]
-        if n_used > self.w_num.shape[0]:
+        (rows, n_used), m_used = num.shape, cat.shape[1]
+        w_num, table, ids = self.w_num, self.table.weights, self.identifiers
+        if n_used > w_num.shape[0]:
             raise SchemaError(
                 f"{n_used} numerical features exceed tokenizer capacity "
-                f"{self.w_num.shape[0]}"
+                f"{w_num.shape[0]}"
             )
-        if self.identifiers is not None and m_used > self.identifiers.shape[0]:
+        if ids is not None and m_used > ids.shape[0]:
             raise SchemaError(
                 f"{m_used} categorical features exceed identifier capacity "
-                f"{self.identifiers.shape[0]}"
+                f"{ids.shape[0]}"
             )
         if not np.isfinite(num).all():
             raise NumericError("non-finite numerical feature after imputation")
-        tokens = []
-        for i in range(n_used):
-            tokens.append(outer_scale_row(num[:, i], self.w_num, i))
-        for j in range(m_used):
-            tok = gather_rows(self.table.weights, cat[:, j].astype(np.intp))
-            if self.identifiers is not None:
-                tok = add(tok, row(self.identifiers, j))
-            tokens.append(tok)
-        return tokens
+        if n_used + m_used == 0:
+            raise ValueError("embed_rows needs at least one feature")
+        idx = cat.T.astype(np.intp)   # (m_used, rows): one row per column
+        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+            raise IndexError(
+                f"category index out of range for table with {table.shape[0]} rows"
+            )
+        tokens = np.empty((n_used + m_used, rows, self.dim))
+        np.multiply(num.T[:, :, None], w_num.data[:n_used, None, :],
+                    out=tokens[:n_used])
+        tokens[n_used:] = table.data[idx]
+        if ids is not None:
+            tokens[n_used:] += ids.data[:m_used, None, :]
+        tokens.sort(axis=0)
+        out_data = tokens.sum(axis=0)
+        # parents are only the parameters this batch reads, so a table or
+        # identifiers unused by a batch keep ``grad is None``
+        parents = (w_num,) if n_used else ()
+        if m_used:
+            parents += (table,) if ids is None else (table, ids)
 
-    def embed_rows(self, num: np.ndarray, cat: np.ndarray) -> Tensor:
-        """Sample embeddings for an encoded batch: (rows, d)."""
-        return aggregate_tokens(self.feature_tokens(num, cat))
+        def backward(g):
+            # one fresh gradient array per parameter and call, accumulated
+            # once, so each parameter row adds its terms in the same order
+            # as a separate node per feature would
+            if n_used and w_num.requires_grad:
+                full = np.zeros_like(w_num.data)
+                for i in range(n_used):   # not num.T @ g: its blocking differs
+                    full[i] = np.ascontiguousarray(num[:, i]) @ g
+                w_num._accumulate(full)
+            if m_used and table.requires_grad:
+                # visits idx column by column, each in batch-row order
+                full = np.zeros_like(table.data)
+                np.add.at(full, idx, g)
+                table._accumulate(full)
+            if m_used and ids is not None and ids.requires_grad:
+                full = np.zeros_like(ids.data)
+                full[:m_used] = g.sum(axis=0)
+                ids._accumulate(full)
+
+        return _op(out_data, parents, backward)
 
 
 # ---------------------------------------------------------------------------

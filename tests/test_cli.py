@@ -269,3 +269,64 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert main(["pretrain"]) == EXIT_USAGE
+
+
+def _drop_shape(header, body):
+    del header["params"][0]["shape"]
+    return body
+
+
+def _drop_last_param(header, body):
+    last = header["params"].pop()
+    return body[:len(body) - 8 * int(np.prod(last["shape"]))]
+
+
+def _params_as_object(header, body):
+    header["params"] = {p["name"]: p for p in header["params"]}
+    return body
+
+
+def _transpose_head_w(header, body):
+    (entry,) = [p for p in header["params"] if p["name"] == "head.w"]
+    entry["shape"] = entry["shape"][::-1]   # same byte count, wrong layout
+    return body
+
+
+def _unknown_model_config_key(header, body):
+    header["model_config"]["depth"] = 2
+    return body
+
+
+def _table_sizes_as_text(header, body):
+    header["table_sizes"] = [str(v) for v in header["table_sizes"]]
+    return body
+
+
+class TestMalformedCheckpointParams:
+    @pytest.mark.parametrize("edit, named", [
+        (_drop_shape, "tokenizer.w_num"),
+        (_drop_last_param, "head.b"),
+        (_params_as_object, "params"),
+        (_transpose_head_w, "head.w"),
+        (_unknown_model_config_key, "model_config"),
+        (_table_sizes_as_text, "table_sizes"),
+    ])
+    def test_bad_parameter_header_is_data_error(
+            self, tmp_path, dataset_descriptor, capsys, edit, named):
+        pre = run_pretrain(tmp_path / "pre")
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(dataset_descriptor),
+                     "--checkpoint", str(pre), "--out", str(out), "--epochs", "1",
+                     "--steps_per_epoch", "1", "--seeds", "0"]) == EXIT_OK
+        ckpt = out / "checkpoint_full_seed0.ckpt"
+        blob = ckpt.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len])
+        body = edit(header, blob[16 + header_len:])
+        text = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text + body)
+        capsys.readouterr()
+        code = main(["evaluate", "--data", str(dataset_descriptor),
+                     "--checkpoint", str(ckpt)])
+        assert code == EXIT_DATA
+        assert named in capsys.readouterr().err

@@ -253,3 +253,32 @@ class TestNoLeakage:
         schema_a, stats_a = fit_schema(train)
         schema_b, stats_b = fit_schema(train.subset(range(len(train))))
         assert schema_a == schema_b and stats_a == stats_b
+
+
+class TestEncodeLookup:
+    def test_matches_map_category_cell_by_cell(self):
+        from tokentab.tokenizer import map_category
+
+        nan = float("nan")
+        kinds = ("categorical", "numerical", "categorical", "categorical")
+        train = RawDataset(
+            ("c0", "x", "c1", "c2"), kinds,
+            [["a", 1.0, "b", nan], ["b", 2.0, "a", "a"], [None, None, "c", "b"],
+             ["a", 0.5, None, "a"]],
+            np.array([0, 1, 0, 1]), ("n", "y"))
+        schema, stats = fit_schema(train)   # c2's vocabulary holds this nan
+        cells = train.cells + [
+            ["zzz", 1.0, "a", None], [nan, 3.0, "zzz", nan],
+            ["c", None, "b", float("nan")], [None, 1.0, None, "zzz"],
+        ]
+        test = RawDataset(train.feature_names, kinds, cells,
+                          np.zeros(len(cells), dtype=np.intp), ("n", "y"))
+        enc = encode(test, schema, stats)
+        positions = [k for k, kind in enumerate(kinds) if kind == "categorical"]
+        expected = [[map_category(row[k], j, schema)
+                     for j, k in enumerate(positions)] for row in cells]
+        assert enc.cat.tolist() == expected
+        # one raw value maps to a different row in each column; a NaN cell
+        # is missing even where the vocabulary holds that very NaN object
+        assert enc.cat[:2].tolist() == [[1, 3, 0], [2, 4, 7]]
+        assert (enc.cat[[2, 5, 6, 7], :] == 0).any(axis=1).all()

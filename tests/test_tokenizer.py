@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokentab.autodiff import NumericError, Tensor, sum_all, mul
+from tokenizer_oracle import embed_rows_chain
+
+from tokentab.autodiff import NumericError, Tensor, add, sum_all, mul
 from tokentab.gradcheck import grad_check
 from tokentab.tokenizer import (
     CategoricalTokenTable,
@@ -349,3 +351,130 @@ class TestTokenTable:
         table = CategoricalTokenTable.create((2,), 3, np.random.default_rng(0))
         assert not table.update_mask[0].any()
         assert table.update_mask[1:].all()
+
+
+# ---------------------------------------------------------------------------
+# the fused embed_rows op against the per-column chain it replaced
+# ---------------------------------------------------------------------------
+
+# name: (numerical columns, vocabulary sizes, identifiers, trainable w_num, rows)
+FUSED_CASES = {
+    "numerical_only": (3, (), True, True, 6),
+    "categorical_only": (0, (3, 2, 4), True, True, 6),
+    "both": (2, (3, 2), True, True, 7),
+    "no_identifiers": (2, (3, 2), False, True, 7),
+    "frozen_w_num": (2, (3, 2), True, False, 7),
+    "one_row": (2, (3, 2), True, True, 1),
+}
+
+
+def fused_case(name, seed=0):
+    """A fresh tokenizer plus a query-like and a support-like encoded batch.
+
+    Categorical indices repeat, and about a third are row 0 (missing or
+    unseen), so the reserved row is shared by every column.
+    """
+    n, sizes, use_ids, train_num, rows = FUSED_CASES[name]
+    tok = FeatureTokenizer.create(n, sizes, 5, np.random.default_rng(seed),
+                                  use_identifiers=use_ids,
+                                  train_numerical=train_num)
+    rng = np.random.default_rng(seed + 1)
+    offsets = tok.table.offsets
+    batches = []
+    for _ in range(2):
+        num = rng.standard_normal((rows, n))
+        cols = [np.where(rng.random(rows) < 0.35, 0,
+                         offsets[j] + rng.integers(0, size, size=rows))
+                for j, size in enumerate(sizes)]
+        cat = (np.column_stack(cols).astype(np.intp) if cols
+               else np.zeros((rows, 0), dtype=np.intp))
+        batches.append((num, cat))
+    return tok, batches
+
+
+def run_two_calls(tok, batches, embed):
+    """Embed both batches and backpropagate through both plus the penalty.
+
+    The consumers differ per call, so each call's gradient is distinct; the
+    orthogonality term gives the identifiers a third addend.
+    """
+    (num_a, cat_a), (num_b, cat_b) = batches
+    a = embed(tok, num_a, cat_a)
+    b = embed(tok, num_b, cat_b)
+    weights = Tensor(num_b.sum(axis=1)[:, None] + np.arange(5.0))
+    loss = add(sum_all(mul(a, a)), sum_all(mul(b, weights)))
+    if tok.identifiers is not None and tok.identifiers.shape[0] > 1:
+        loss = add(orthogonal_loss(tok.identifiers), loss)
+    loss.backward()
+    grads = {name: t.grad for name, t in tok.named_tensors()}
+    return a.data, b.data, grads
+
+
+class TestFusedEmbedRows:
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_forward_and_gradients_match_the_chain(self, name):
+        tok_f, batches = fused_case(name)
+        tok_c, _ = fused_case(name)
+        a_f, b_f, g_f = run_two_calls(tok_f, batches, FeatureTokenizer.embed_rows)
+        a_c, b_c, g_c = run_two_calls(tok_c, batches, embed_rows_chain)
+        assert np.array_equal(a_f, a_c) and np.array_equal(b_f, b_c)
+        for key in ("tokenizer.w_num", "tokenizer.identifiers"):
+            if key in g_c:
+                assert (g_f[key] is None) == (g_c[key] is None), key
+                assert g_c[key] is None or np.array_equal(g_f[key], g_c[key]), key
+        t_f, t_c = g_f["tokenizer.table"], g_c["tokenizer.table"]
+        assert (t_f is None) == (t_c is None)
+        if t_c is not None:
+            # rows >= 1 belong to one column each; row 0 sums across columns
+            # in another association, which Adam's row-0 mask never reads
+            assert np.array_equal(t_f[1:], t_c[1:])
+            assert np.allclose(t_f[0], t_c[0], rtol=0.0, atol=1e-12)
+
+    def test_frozen_w_num_gets_no_gradient(self):
+        tok, batches = fused_case("frozen_w_num")
+        run_two_calls(tok, batches, FeatureTokenizer.embed_rows)
+        assert tok.w_num.grad is None
+        assert tok.table.weights.grad is not None
+
+    def test_no_categorical_columns_leave_table_and_identifiers_untouched(self):
+        tok, batches = fused_case("numerical_only")
+        run_two_calls(tok, batches, FeatureTokenizer.embed_rows)
+        assert tok.w_num.grad is not None
+        assert tok.table.weights.grad is None
+        assert tok.identifiers.grad is None
+
+    def test_one_graph_node_over_parameter_leaves(self):
+        tok, [(num, cat), _] = fused_case("both")
+        e = tok.embed_rows(num, cat)
+        tape = sum_all(e).backward()
+        assert len(tape.nodes) == 5   # 3 leaves, embed_rows, sum_all
+        assert e._parents == (tok.w_num, tok.table.weights, tok.identifiers)
+
+    def test_gradient_vs_finite_differences(self):
+        tok, [(num, cat), (num_b, cat_b)] = fused_case("both", seed=3)
+        assert tok.w_num.requires_grad
+
+        def target():
+            a = tok.embed_rows(num, cat)
+            b = tok.embed_rows(num_b, cat_b)
+            return sum_all(mul(mul(a, a), b))
+
+        err = grad_check(target, [tok.w_num, tok.table.weights, tok.identifiers])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("num, cat, error", [
+        (np.zeros((3, 2)), np.zeros((2, 2), dtype=np.intp), SchemaError),
+        (np.zeros((3, 4)), np.zeros((3, 2), dtype=np.intp), SchemaError),
+        (np.zeros((3, 2)), np.zeros((3, 3), dtype=np.intp), SchemaError),
+        (np.array([[0.0, np.nan]]), np.zeros((1, 2), dtype=np.intp), NumericError),
+        (np.array([[0.0, np.inf]]), np.zeros((1, 2), dtype=np.intp), NumericError),
+        (np.zeros((2, 2)), np.array([[1, 6], [0, 0]]), IndexError),
+        (np.zeros((2, 2)), np.array([[1, -1], [0, 0]]), IndexError),
+        (np.zeros((2, 0)), np.zeros((2, 0), dtype=np.intp), ValueError),
+    ])
+    def test_bad_batches_raise_like_the_chain(self, num, cat, error):
+        tok, _ = fused_case("both")   # capacity 2 numerical, 2 categorical
+        with pytest.raises(error):
+            tok.embed_rows(num, cat)
+        with pytest.raises(error):
+            embed_rows_chain(tok, num, cat)

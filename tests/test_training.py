@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_rule_dataset
 
-from tokentab.data import encode, fit_schema, split_train_test
+from tokentab.data import RawDataset, encode, fit_schema, split_train_test
 from tokentab.model import SupportQueryBatch
 from tokentab.tokenizer import identifier_gram_matrix, mean_abs_off_diagonal
 from tokentab.training import (
@@ -235,3 +235,32 @@ class TestReports:
         assert merged[0]["weighting"] == "equal"
         assert merged[0]["train_loss"] == pytest.approx(2.0)
         assert merged[0]["test_auc"] == pytest.approx(0.6)
+
+
+class TestTapeSize:
+    def test_wide_finetune_step_traverses_at_most_130_nodes(self):
+        """One fine-tune step on 2 numerical + 30 categorical columns.
+
+        The tokenizer is one graph node per embedding, so the tape does not
+        grow with the column count (the per-column chain made it 303 here).
+        """
+        from tokentab.model import ModelConfig
+        from tokentab.prior import PriorConfig, build_pretraining_model
+
+        rng = np.random.default_rng(5)
+        vocab = [f"v{k}" for k in range(8)]
+        cells = [[float(x) for x in rng.normal(size=2)]
+                 + rng.choice(vocab, size=30).tolist() for _ in range(120)]
+        raw = RawDataset(("x0", "x1") + tuple(f"c{j}" for j in range(30)),
+                         ("numerical",) * 2 + ("categorical",) * 30, cells,
+                         rng.integers(0, 2, size=120).astype(np.intp), ("0", "1"))
+        schema, stats = fit_schema(raw)
+        backbone = build_pretraining_model(
+            PriorConfig(max_features=4, seed=1),
+            ModelConfig(embed_dim=16, layers=3, heads=4, ff_dim=32, max_classes=4))
+        cfg = FinetuneConfig(variant="full")
+        model = build_finetune_model(backbone, schema, 2, cfg)
+        batch = sample_episode(encode(raw, schema, stats),
+                               np.random.default_rng(0), cfg.support_fraction)
+        tape = total_loss(batch, model, cfg).backward()
+        assert len(tape.nodes) <= 130
