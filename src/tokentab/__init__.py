@@ -34,8 +34,6 @@ from .model import (
     InContextClassifier,
     ModelConfig,
     SupportQueryBatch,
-    embed_query,
-    embed_support,
     encoder_forward,
 )
 from .optim import Adam
@@ -59,8 +57,6 @@ from .tokenizer import (
     map_category,
     mean_abs_off_diagonal,
     orthogonal_loss,
-    tokenize_categorical,
-    tokenize_numerical,
 )
 from .training import (
     FinetuneConfig,

@@ -11,14 +11,21 @@ model state always serializes to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import NormalizationStats
-from .model import InContextClassifier, ModelConfig
-from .tokenizer import CategoricalTokenTable, Column, FeatureSchema, FeatureTokenizer
+from .model import EncoderLayer, InContextClassifier, ModelConfig
+from .tokenizer import (
+    CategoricalTokenTable,
+    Column,
+    FeatureSchema,
+    FeatureTokenizer,
+    SchemaError,
+)
 from .autodiff import Tensor
 
 MAGIC = b"TTCK"
@@ -39,11 +46,53 @@ def _schema_to_dict(schema: FeatureSchema) -> dict:
     }
 
 
-def _schema_from_dict(obj: dict) -> FeatureSchema:
-    return FeatureSchema(tuple(
-        Column(c["name"], c["kind"], tuple(c["vocabulary"]))
-        for c in obj["columns"]
-    ))
+def _schema_from_dict(path, obj) -> FeatureSchema:
+    columns = obj.get("columns") if isinstance(obj, dict) else None
+    if not isinstance(columns, list):
+        raise CheckpointError(f"{path}: header schema.columns is not a list")
+    for k, c in enumerate(columns):
+        if not (isinstance(c, dict) and isinstance(c.get("name"), str)
+                and isinstance(c.get("kind"), str)
+                and isinstance(c.get("vocabulary"), list)
+                and all(isinstance(v, (str, int, float)) for v in c["vocabulary"])):
+            raise CheckpointError(
+                f"{path}: header schema.columns[{k}] needs a string name and "
+                "kind and a vocabulary list of values")
+    try:
+        return FeatureSchema(tuple(Column(c["name"], c["kind"], tuple(c["vocabulary"]))
+                                   for c in columns))
+    except SchemaError as exc:
+        raise CheckpointError(f"{path}: header schema: {exc}") from None
+
+
+def _finite_floats(seq) -> tuple[float, ...] | None:
+    """``seq`` as floats if it is a list of finite JSON numbers, else None."""
+    if not isinstance(seq, list) or any(type(v) not in (int, float) for v in seq):
+        return None
+    try:
+        out = tuple(float(v) for v in seq)
+    except OverflowError:   # an integer beyond the float range
+        return None
+    return out if all(math.isfinite(v) for v in out) else None
+
+
+def _stats_from_dict(path, obj, count: int | None) -> NormalizationStats:
+    """``count`` is the schema's numerical column count, when there is one."""
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{path}: header stats is not a JSON object")
+    means, stds = _finite_floats(obj.get("means")), _finite_floats(obj.get("stds"))
+    for key, values in (("means", means), ("stds", stds)):
+        if values is None:
+            raise CheckpointError(
+                f"{path}: header stats.{key} is not a list of finite numbers")
+    if any(v <= 0.0 for v in stds):
+        raise CheckpointError(f"{path}: header stats.stds holds a value <= 0")
+    want = len(means) if count is None else count
+    if len(means) != want or len(stds) != want:
+        raise CheckpointError(
+            f"{path}: header stats.means and stats.stds need {want} entries, "
+            f"one per numerical column; they have {len(means)} and {len(stds)}")
+    return NormalizationStats(means, stds)
 
 
 @dataclass
@@ -140,8 +189,7 @@ def load_checkpoint(path) -> Checkpoint:
     for k, meta in enumerate(header["params"]):
         _check_param_entry(path, k, meta)
         shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8   # exact: a huge shape cannot wrap around
         if pos + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated parameter {meta['name']}")
         arr = np.frombuffer(blob[pos:pos + nbytes], dtype="<f8").reshape(shape)
@@ -150,14 +198,29 @@ def load_checkpoint(path) -> Checkpoint:
         pos += nbytes
     if pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after parameters")
-    schema = (_schema_from_dict(header["schema"])
-              if header.get("schema") is not None else None)
-    stats = None
+    schema = stats = label_names = None
+    if header.get("schema") is not None:
+        schema = _schema_from_dict(path, header["schema"])
+        if list(schema.vocab_sizes) != header["table_sizes"]:
+            raise CheckpointError(
+                f"{path}: header schema vocabularies do not match table_sizes")
     if header.get("stats") is not None:
-        stats = NormalizationStats(tuple(header["stats"]["means"]),
-                                   tuple(header["stats"]["stds"]))
-    label_names = (tuple(header["label_names"])
-                   if header.get("label_names") is not None else None)
+        stats = _stats_from_dict(path, header["stats"],
+                                 None if schema is None else schema.n)
+    if header.get("label_names") is not None:
+        label_names = header["label_names"]
+        if not (isinstance(label_names, list)
+                and all(isinstance(v, str) for v in label_names)):
+            raise CheckpointError(f"{path}: header label_names is not a list of strings")
+        label_names = tuple(label_names)
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: header extra is not a JSON object")
+    split_seed = extra.get("split_seed", 0)
+    if type(split_seed) is not int or split_seed < 0:
+        raise CheckpointError(
+            f"{path}: header extra.split_seed {split_seed!r} is not a "
+            "non-negative integer")
     return Checkpoint(
         kind=header["kind"],
         model_config=header["model_config"],
@@ -167,7 +230,7 @@ def load_checkpoint(path) -> Checkpoint:
         schema=schema,
         stats=stats,
         label_names=label_names,
-        extra=header.get("extra", {}),
+        extra=extra,
     )
 
 
@@ -184,27 +247,56 @@ def _stored(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
     return arr
 
 
+def _declared_shapes(ckpt: Checkpoint, config: ModelConfig):
+    """Name and shape of every parameter the header's sizes declare."""
+    d, sizes = config.embed_dim, ckpt.table_sizes
+    yield "tokenizer.w_num", (None, d)
+    yield "tokenizer.table", (1 + sum(sizes), d)
+    if "tokenizer.identifiers" in ckpt.arrays:
+        yield "tokenizer.identifiers", (len(sizes), d)
+    yield "label_embed", (1, d)
+    for i in range(config.layers):
+        for name, shape in EncoderLayer.parameter_shapes(d, config.ff_dim).items():
+            yield f"layers.{i}.{name}", shape
+    yield "head.w", (d, config.max_classes)
+    yield "head.b", (config.max_classes,)
+
+
 def rebuild_model(ckpt: Checkpoint) -> InContextClassifier:
-    """Reconstruct the model with the stored parameters and frozen flags."""
+    """Reconstruct the model with the stored parameters and frozen flags.
+
+    Every size the header declares is compared with the stored arrays
+    before the model is built, so a header cannot make it allocate more
+    than the file holds.
+    """
     try:
         config = ModelConfig(**ckpt.model_config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint model_config: {exc}") from None
+    declared = set()
+    for name, shape in _declared_shapes(ckpt, config):   # stops at the first miss
+        _stored(ckpt, name, shape)
+        declared.add(name)
+    undeclared = sorted(set(ckpt.arrays) - declared)
+    if undeclared:
+        raise CheckpointError(
+            f"checkpoint stores parameter {undeclared[0]}, which its "
+            "model_config does not declare")
     d = config.embed_dim
-    w_num = Tensor(_stored(ckpt, "tokenizer.w_num", (None, d)).copy(),
+    w_num = Tensor(ckpt.arrays["tokenizer.w_num"].copy(),
                    requires_grad=ckpt.flags["tokenizer.w_num"])
     table = CategoricalTokenTable.create(ckpt.table_sizes, d,
                                          np.random.default_rng(0))
-    table.weights.data[...] = _stored(ckpt, "tokenizer.table", table.weights.shape)
+    table.weights.data[...] = ckpt.arrays["tokenizer.table"]
     table.weights.requires_grad = ckpt.flags["tokenizer.table"]
     identifiers = None
     if "tokenizer.identifiers" in ckpt.arrays:
-        identifiers = Tensor(_stored(ckpt, "tokenizer.identifiers", (None, d)).copy(),
+        identifiers = Tensor(ckpt.arrays["tokenizer.identifiers"].copy(),
                              requires_grad=ckpt.flags["tokenizer.identifiers"])
     tokenizer = FeatureTokenizer(w_num, table, identifiers)
     model = InContextClassifier.create(config, tokenizer,
                                        np.random.default_rng(0))
     for name, t in model.backbone_tensors():
-        t.data[...] = _stored(ckpt, name, t.shape)
+        t.data[...] = ckpt.arrays[name]
         t.requires_grad = ckpt.flags[name]
     return model

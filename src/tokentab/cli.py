@@ -67,6 +67,28 @@ def _settings_from_args(cls, args) -> object:
     return resolve(cls, file_map, overrides)
 
 
+def _model_config(settings) -> ModelConfig:
+    try:
+        return ModelConfig(
+            embed_dim=settings.embed_dim, layers=settings.layers,
+            heads=settings.heads, ff_dim=settings.ff_dim,
+            max_classes=settings.max_classes,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _write_jsonl(path: Path, records) -> None:
     path.write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
@@ -107,13 +129,7 @@ def load_descriptor(path):
 
 def cmd_pretrain(args) -> int:
     settings = _settings_from_args(PretrainSettings, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model_cfg = ModelConfig(
-        embed_dim=settings.embed_dim, layers=settings.layers,
-        heads=settings.heads, ff_dim=settings.ff_dim,
-        max_classes=settings.max_classes,
-    )
+    model_cfg = _model_config(settings)
     try:
         prior = PriorConfig(
             max_features=settings.prior_max_features,
@@ -131,6 +147,10 @@ def cmd_pretrain(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if prior.max_classes > model_cfg.max_classes:
+        raise ConfigError("key 'prior_classes_max' exceeds key 'max_classes'")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     model = build_pretraining_model(prior, model_cfg)
     log = pretrain(model, prior, settings.episodes, lr=settings.lr,
                    holdout=settings.holdout, log_every=settings.log_every)
@@ -203,7 +223,7 @@ def cmd_evaluate(args) -> int:
         )
     split_seed = args.split_seed
     if split_seed is None:
-        split_seed = int(ckpt.extra.get("split_seed", 0))
+        split_seed = ckpt.extra.get("split_seed", 0)
     train_raw, test_raw = split_train_test(raw, split_seed)
     train = encode(train_raw, ckpt.schema, ckpt.stats)
     test = encode(test_raw, ckpt.schema, ckpt.stats)
@@ -247,6 +267,7 @@ def cmd_export_heatmaps(args) -> int:
 
 def cmd_grad_check(args) -> int:
     settings = _settings_from_args(GradCheckSettings, args)
+    _model_config(settings)   # reject unusable sizes before any check runs
     results = component_checks(
         seed=settings.seed, eps=settings.eps, embed_dim=settings.embed_dim,
         layers=settings.layers, heads=settings.heads, ff_dim=settings.ff_dim,
@@ -295,7 +316,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a fine-tuned checkpoint")
     p.add_argument("--data", required=True, help="dataset descriptor file")
     p.add_argument("--checkpoint", required=True, help="fine-tuned checkpoint")
-    p.add_argument("--split-seed", type=int, default=None,
+    p.add_argument("--split-seed", type=_seed, default=None,
                    help="split seed (default: the checkpoint's own)")
     p.add_argument("--out", default=None, help="optional output directory")
     p.set_defaults(func=cmd_evaluate)

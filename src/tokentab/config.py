@@ -76,6 +76,12 @@ def resolve(cls, file_map: dict[str, str] | None, overrides: dict | None):
         raise ConfigError(str(exc)) from None
 
 
+def _check_at_least(settings, key: str, low: int) -> None:
+    value = getattr(settings, key)
+    if value < low:
+        raise ConfigError(f"key {key!r} must be >= {low}, got {value}")
+
+
 def as_kv(settings) -> dict[str, str]:
     out = {}
     for f in dataclasses.fields(settings):
@@ -108,6 +114,10 @@ class PretrainSettings:
     prior_weight_rule: float = 0.3
     prior_min_class_fraction: float = 0.05
 
+    def __post_init__(self):
+        _check_at_least(self, "seed", 0)
+        _check_at_least(self, "log_every", 1)
+
 
 @dataclass(frozen=True)
 class FinetuneSettings:
@@ -127,6 +137,8 @@ class FinetuneSettings:
             raise ConfigError(f"invalid value {self.seeds!r} for key 'seeds'") from None
         if not seeds:
             raise ConfigError("key 'seeds' must list at least one seed")
+        if min(seeds) < 0:
+            raise ConfigError(f"key 'seeds' must list seeds >= 0, got {min(seeds)}")
         return seeds
 
 
@@ -140,3 +152,9 @@ class GradCheckSettings:
     heads: int = 2
     ff_dim: int = 16
     max_classes: int = 3
+
+    def __post_init__(self):
+        _check_at_least(self, "seed", 0)
+        # the bounds grad_check itself enforces
+        if not 0.0 < self.eps <= 1e-3:
+            raise ConfigError(f"key 'eps' must be in (0, 1e-3], got {self.eps!r}")

@@ -19,27 +19,18 @@ from .autodiff import (
     NumericError,
     Tensor,
     add,
-    aggregate_tokens,
     attention,
     concat_rows,
     gelu,
     layer_norm,
     linear_forward,
-    mul_scalar,
     no_grad,
     outer_scale_row,
-    row,
     slice_cols,
     slice_rows,
     softmax_rows,
 )
-from .tokenizer import (
-    FeatureSchema,
-    FeatureTokenizer,
-    SchemaError,
-    tokenize_categorical,
-    tokenize_numerical,
-)
+from .tokenizer import FeatureTokenizer
 
 
 @dataclass(frozen=True)
@@ -51,12 +42,17 @@ class ModelConfig:
     max_classes: int = 4
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if min(self.embed_dim, self.heads, self.ff_dim) < 1:
+            raise ValueError("embed_dim, heads and ff_dim must be >= 1")
         if self.embed_dim % self.heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
         if self.layers < 1:
-            raise ValueError("at least one encoder layer is required")
+            raise ValueError("layers must be >= 1")
         if self.max_classes < 2:
             raise ValueError("max_classes must be >= 2")
 
@@ -129,10 +125,19 @@ class EncoderLayer:
         self.ln2_g = Tensor(np.ones(dim), requires_grad=True)
         self.ln2_b = Tensor(np.zeros(dim), requires_grad=True)
 
+    @staticmethod
+    def parameter_shapes(dim: int, ff_dim: int) -> dict[str, tuple[int, ...]]:
+        """Shape of every parameter by name, in checkpoint order."""
+        return {
+            "wq": (dim, dim), "bq": (dim,), "wk": (dim, dim), "bk": (dim,),
+            "wv": (dim, dim), "bv": (dim,), "wo": (dim, dim), "bo": (dim,),
+            "w1": (dim, ff_dim), "b1": (ff_dim,), "w2": (ff_dim, dim), "b2": (dim,),
+            "ln1_g": (dim,), "ln1_b": (dim,), "ln2_g": (dim,), "ln2_b": (dim,),
+        }
+
     def named_tensors(self, prefix: str):
-        names = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"]
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
+        return [(f"{prefix}.{n}", getattr(self, n))
+                for n in self.parameter_shapes(*self.w1.shape)]
 
     def forward(self, x: Tensor, s: int) -> Tensor:
         """One layer over rows whose first ``s`` are supports, the rest queries."""
@@ -233,37 +238,3 @@ class InContextClassifier:
         with no_grad():
             logits = self.predict_logits(batch)
         return Tensor(softmax_rows(logits.data))
-
-
-# ---------------------------------------------------------------------------
-# single-row embedding reference operations
-# ---------------------------------------------------------------------------
-
-def embed_query(num_row: np.ndarray, cat_row, tokenizer: FeatureTokenizer,
-                schema: FeatureSchema) -> Tensor:
-    """Embedding of one row: the aggregated tokens of all its features.
-
-    ``cat_row`` holds raw categorical values (missing as None); numerical
-    values must already be encoded.
-    """
-    num_row = np.asarray(num_row, dtype=np.float64).reshape(-1)
-    cat_row = list(cat_row)
-    if len(num_row) != schema.n or len(cat_row) != schema.m:
-        raise SchemaError(
-            f"row has {len(num_row)} numerical / {len(cat_row)} categorical "
-            f"features, schema expects {schema.n} / {schema.m}"
-        )
-    tokens = [tokenize_numerical(v, i, tokenizer) for i, v in enumerate(num_row)]
-    tokens += [tokenize_categorical(v, j, tokenizer, schema)
-               for j, v in enumerate(cat_row)]
-    return aggregate_tokens(tokens)
-
-
-def embed_support(num_row: np.ndarray, cat_row, y: int,
-                  tokenizer: FeatureTokenizer, schema: FeatureSchema,
-                  label_weights: Tensor, n_classes: int) -> Tensor:
-    """Support-row embedding: query embedding plus y times the label row."""
-    if not 0 <= int(y) < n_classes:
-        raise IndexError(f"label {y} out of range [0,{n_classes})")
-    base = embed_query(num_row, cat_row, tokenizer, schema)
-    return add(base, mul_scalar(row(label_weights, 0), float(y)))

@@ -1,8 +1,9 @@
-"""Adam optimizer with optional per-entry update masks.
+"""Adam optimizer over whole tensors.
 
-Masks cover the one partially-frozen parameter in the model: the reserved
-missing-value row of the categorical token table, which must stay exactly
-zero while the rest of the table trains.
+Tensors with ``requires_grad`` False are skipped at construction, and a
+tensor whose ``grad`` is None in a step keeps its data and moments. An
+entry whose gradient is always exactly zero (the token table's missing-value
+row) keeps zero moments, so its update is exactly 0.0 and it never moves.
 """
 
 from __future__ import annotations
@@ -20,21 +21,13 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._entries = []
-        for p in params:
-            tensor, mask = p if isinstance(p, tuple) else (p, None)
-            if not tensor.requires_grad:
-                continue  # frozen tensors are never touched
-            if mask is not None:
-                mask = np.asarray(mask, dtype=bool)
-                if mask.shape != tensor.shape:
-                    raise ValueError("update mask shape must match the tensor")
-            self._entries.append({
-                "tensor": tensor,
-                "mask": mask,
-                "m": np.zeros_like(tensor.data),
-                "v": np.zeros_like(tensor.data),
-            })
+        self._entries = [
+            {"tensor": tensor,
+             "m": np.zeros_like(tensor.data),
+             "v": np.zeros_like(tensor.data)}
+            for tensor in params
+            if tensor.requires_grad   # frozen tensors are never touched
+        ]
 
     @property
     def tensors(self) -> list[Tensor]:
@@ -53,10 +46,6 @@ class Adam:
             if tensor.grad is None:
                 continue
             g = tensor.grad
-            if e["mask"] is not None:
-                # masked entries see zero gradient forever, so their moments
-                # stay zero and the update below is exactly 0.0
-                g = np.where(e["mask"], g, 0.0)
             e["m"] = self.beta1 * e["m"] + (1.0 - self.beta1) * g
             e["v"] = self.beta2 * e["v"] + (1.0 - self.beta2) * g * g
             mhat = e["m"] / c1

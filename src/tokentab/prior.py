@@ -243,8 +243,7 @@ def pretrain(model: InContextClassifier, cfg: PriorConfig, episodes: int,
     """
     if episodes >= 2**20:
         raise ValueError("episode budget exceeds the reserved seed range")
-    opt = Adam(model.tokenizer.parameters()
-               + [t for _, t in model.backbone_tensors()], lr=lr)
+    opt = Adam([t for _, t in model.named_tensors()], lr=lr)
     held = holdout_episodes(cfg, holdout) if holdout else []
     log = {"episodes": [], "holdout_start": None, "holdout_end": None}
     if held:

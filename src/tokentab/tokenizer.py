@@ -2,7 +2,8 @@
 
 Numerical features scale a dedicated weight row (frozen during downstream
 fine-tuning); categorical features look up a row of a shared token table
-and add a per-column identifier vector. Tokens are summed into the sample
+(a missing or unseen category gets a constant zero token) and add a
+per-column identifier vector. Tokens are summed into the sample
 embedding. An orthogonality penalty on the identifiers keeps different
 categorical columns distinguishable after the sum.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor, add, mul_scalar, row, _op
+from .autodiff import NumericError, Tensor, _op
 
 NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
@@ -122,8 +123,9 @@ def map_category(value, j: int, schema: FeatureSchema) -> int:
 class CategoricalTokenTable:
     """Shared lookup table: one row per known category plus the NaN row.
 
-    Row 0 starts at zero and is excluded from optimizer updates via
-    ``update_mask``, so missing values always contribute a zero token.
+    Row ``NAN_ROW`` (0) is stored and starts at zero, but it is not a
+    trained entry: ``FeatureTokenizer.embed_rows`` gives missing and unseen
+    categories a constant zero token and never sends gradient into it.
     """
 
     weights: Tensor
@@ -153,12 +155,6 @@ class CategoricalTokenTable:
             offsets.append(pos)
             pos += s
         return cls(Tensor(data, requires_grad=trainable), tuple(offsets), sizes)
-
-    @property
-    def update_mask(self) -> np.ndarray:
-        mask = np.ones(self.weights.shape, dtype=bool)
-        mask[NAN_ROW] = False
-        return mask
 
 
 class FeatureTokenizer:
@@ -196,13 +192,6 @@ class FeatureTokenizer:
                                  requires_grad=True)
         return cls(w_num, table, identifiers)
 
-    def parameters(self):
-        """(tensor, update_mask) pairs for the optimizer."""
-        out = [(self.w_num, None), (self.table.weights, self.table.update_mask)]
-        if self.identifiers is not None:
-            out.append((self.identifiers, None))
-        return out
-
     def named_tensors(self):
         out = [("tokenizer.w_num", self.w_num),
                ("tokenizer.table", self.table.weights)]
@@ -215,10 +204,12 @@ class FeatureTokenizer:
 
         One op over every feature token. Numerical feature i gives
         ``num[:, i] * w_num[i]``; categorical feature j gives its table row
-        plus identifier j. The (features, rows, d) token stack is sorted
-        per output coordinate before the sum, so the embedding depends only
-        on the multiset of tokens: permuting feature columns (together with
-        their parameter rows) leaves it bit-identical.
+        plus identifier j, where a ``NAN_ROW`` index (missing or unseen)
+        gives a zero token in place of the row, so row 0 neither shapes the
+        output nor receives gradient. The (features, rows, d) token stack
+        is sorted per output coordinate before the sum, so the embedding
+        depends only on the multiset of tokens: permuting feature columns
+        (together with their parameter rows) leaves it bit-identical.
         """
         num = np.asarray(num, dtype=np.float64)
         cat = np.asarray(cat)
@@ -251,6 +242,7 @@ class FeatureTokenizer:
         np.multiply(num.T[:, :, None], w_num.data[:n_used, None, :],
                     out=tokens[:n_used])
         tokens[n_used:] = table.data[idx]
+        tokens[n_used:][idx == NAN_ROW] = 0.0
         if ids is not None:
             tokens[n_used:] += ids.data[:m_used, None, :]
         tokens.sort(axis=0)
@@ -271,9 +263,11 @@ class FeatureTokenizer:
                     full[i] = np.ascontiguousarray(num[:, i]) @ g
                 w_num._accumulate(full)
             if m_used and table.requires_grad:
-                # visits idx column by column, each in batch-row order
+                # visits idx column by column, each in batch-row order; the
+                # constant NAN_ROW token has no gradient
                 full = np.zeros_like(table.data)
                 np.add.at(full, idx, g)
+                full[NAN_ROW] = 0.0
                 table._accumulate(full)
             if m_used and ids is not None and ids.requires_grad:
                 full = np.zeros_like(ids.data)
@@ -281,30 +275,6 @@ class FeatureTokenizer:
                 ids._accumulate(full)
 
         return _op(out_data, parents, backward)
-
-
-# ---------------------------------------------------------------------------
-# single-feature reference operations
-# ---------------------------------------------------------------------------
-
-def tokenize_numerical(value: float, i: int, tokenizer: FeatureTokenizer) -> Tensor:
-    """Token for numerical feature i: value times the feature's weight row."""
-    if not 0 <= i < tokenizer.w_num.shape[0]:
-        raise IndexError(f"numerical feature {i} out of range")
-    value = float(value)
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite numerical feature value {value!r}")
-    return mul_scalar(row(tokenizer.w_num, i), value)
-
-
-def tokenize_categorical(value, j: int, tokenizer: FeatureTokenizer,
-                         schema: FeatureSchema) -> Tensor:
-    """Token for categorical feature j: table row for the value plus identifier."""
-    idx = map_category(value, j, schema)
-    tok = row(tokenizer.table.weights, idx)
-    if tokenizer.identifiers is not None:
-        tok = add(tok, row(tokenizer.identifiers, j))
-    return tok
 
 
 # ---------------------------------------------------------------------------

@@ -197,17 +197,6 @@ def build_finetune_model(pretrained: InContextClassifier, schema: FeatureSchema,
     return model
 
 
-def trainable_parameters(model: InContextClassifier):
-    """Optimizer entries honoring the requires_grad flags and the table mask."""
-    params = [(model.tokenizer.table.weights, model.tokenizer.table.update_mask)]
-    if model.tokenizer.identifiers is not None:
-        params.append((model.tokenizer.identifiers, None))
-    for _, t in model.backbone_tensors():
-        if t.requires_grad:
-            params.append((t, None))
-    return params
-
-
 # ---------------------------------------------------------------------------
 # losses and the fine-tuning loop
 # ---------------------------------------------------------------------------
@@ -252,7 +241,7 @@ def finetune(model: InContextClassifier, train: EncodedDataset,
     log = TrainLog()
     if cfg.epochs == 0:
         return log
-    opt = Adam(trainable_parameters(model), lr=cfg.lr)
+    opt = Adam([t for _, t in model.named_tensors()], lr=cfg.lr)
     step_rng = np.random.default_rng([cfg.seed, _STEP_TAG])
     metric_rng = np.random.default_rng([cfg.seed, _EVAL_TAG])
     metric_batch = sample_episode(train, metric_rng, cfg.support_fraction)

@@ -44,8 +44,8 @@ def make_mixed_dataset(rows=160, seed=0, noise=0.05, missing=0.05) -> RawDataset
     """Two numerical and two categorical columns with some missing cells.
 
     The label XORs a numeric-sum sign with a category membership, so both
-    feature kinds carry signal and the reserved missing-value row sees
-    real gradient traffic.
+    feature kinds carry signal, and missing categories exercise the
+    constant zero token of the reserved missing-value row.
     """
     rng = np.random.default_rng(seed)
     vocab = np.array(["u", "v", "w", "x"])

@@ -389,19 +389,6 @@ class TestFreezing:
         assert frozen.data.tobytes() == before
         assert frozen.grad is None
 
-    def test_masked_entries_never_move(self):
-        t = Tensor(np.zeros((3, 2)), requires_grad=True)
-        mask = np.ones((3, 2), dtype=bool)
-        mask[0] = False
-        opt = Adam([(t, mask)], lr=0.5)
-        for _ in range(10):
-            opt.zero_grad()
-            sum_all(mul(t, t)).backward()
-            t.grad += 1.0  # constant pull so unmasked entries move
-            opt.step()
-        assert t.data[0].tobytes() == np.zeros(2).tobytes()
-        assert (t.data[1:] != 0.0).all()
-
 
 class TestDeterminism:
     def _run_trajectory(self, seed):

@@ -271,6 +271,28 @@ class TestUsageErrors:
         assert main(["pretrain"]) == EXIT_USAGE
 
 
+class TestSettingsExitCodes:
+    @pytest.mark.parametrize("argv, named", [
+        (["pretrain", "--seed", "-1"], "seed"),
+        (["finetune", "--data", "d", "--checkpoint", "c", "--seeds", "-2"], "seeds"),
+        (["grad-check", "--seed", "-1"], "seed"),
+        (["evaluate", "--data", "d", "--checkpoint", "c", "--split-seed", "-1"],
+         "split-seed"),
+        (["pretrain", "--heads", "0"], "heads"),
+        (["grad-check", "--heads", "0"], "heads"),
+        (["pretrain", "--layers", "0"], "layers"),
+        (["grad-check", "--eps", "1"], "eps"),
+        (["pretrain", "--log_every", "0"], "log_every"),
+        (["pretrain", "--max_classes", "2"], "max_classes"),
+    ])
+    def test_unusable_setting_is_usage_error(self, tmp_path, capsys, argv, named):
+        if argv[0] in ("pretrain", "finetune"):
+            argv = [*argv, "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 def _drop_shape(header, body):
     del header["params"][0]["shape"]
     return body

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 
 import attention_oracle
 from attention_oracle import build_mask
+from tokenizer_oracle import (
+    embed_query,
+    embed_support,
+    tokenize_categorical,
+    tokenize_numerical,
+)
 from tokentab import autodiff
 from tokentab.autodiff import NumericError, Tensor
 from tokentab.model import (
@@ -14,8 +20,6 @@ from tokentab.model import (
     InContextClassifier,
     ModelConfig,
     SupportQueryBatch,
-    embed_query,
-    embed_support,
     encoder_forward,
 )
 from tokentab.tokenizer import Column, FeatureSchema, FeatureTokenizer
@@ -334,7 +338,6 @@ class TestRowEmbedding:
 
     def test_mixed_row_is_sum_of_tokens(self):
         from tokentab.autodiff import aggregate_tokens
-        from tokentab.tokenizer import tokenize_categorical, tokenize_numerical
 
         schema = self.schema()
         rng = np.random.default_rng(2)

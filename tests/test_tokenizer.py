@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenizer_oracle import embed_rows_chain
+from tokenizer_oracle import (
+    embed_query,
+    embed_rows_chain,
+    tokenize_categorical,
+    tokenize_numerical,
+)
 
 from tokentab.autodiff import NumericError, Tensor, add, sum_all, mul
 from tokentab.gradcheck import grad_check
@@ -18,8 +23,6 @@ from tokentab.tokenizer import (
     map_category,
     mean_abs_off_diagonal,
     orthogonal_loss,
-    tokenize_categorical,
-    tokenize_numerical,
 )
 
 
@@ -248,7 +251,7 @@ class TestEmbedding:
         from tokentab.optim import Adam
 
         schema, tok = make_tokenizer(dim=4, seed=2)
-        opt = Adam(tok.parameters(), lr=0.1)
+        opt = Adam([t for _, t in tok.named_tensors()], lr=0.1)
         num = np.random.default_rng(0).standard_normal((6, 1))
         cat = np.array([[0, 4], [1, 5], [2, 4], [3, 5], [0, 4], [2, 5]])
         for _ in range(20):
@@ -303,8 +306,6 @@ class TestEmbedding:
         assert base.tobytes() == permuted.tobytes()
 
     def test_batch_path_matches_single_row_path_bitwise(self):
-        from tokentab.model import embed_query
-
         schema, tok = make_tokenizer(dim=4, seed=4)
         rng = np.random.default_rng(7)
         num = rng.standard_normal((5, 1))
@@ -346,11 +347,6 @@ class TestTokenTable:
     def test_row_zero_initialized_to_zero(self):
         table = CategoricalTokenTable.create((3, 2), 4, np.random.default_rng(0))
         assert np.array_equal(table.weights.data[0], np.zeros(4))
-
-    def test_update_mask_excludes_row_zero(self):
-        table = CategoricalTokenTable.create((2,), 3, np.random.default_rng(0))
-        assert not table.update_mask[0].any()
-        assert table.update_mask[1:].all()
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +421,10 @@ class TestFusedEmbedRows:
         t_f, t_c = g_f["tokenizer.table"], g_c["tokenizer.table"]
         assert (t_f is None) == (t_c is None)
         if t_c is not None:
-            # rows >= 1 belong to one column each; row 0 sums across columns
-            # in another association, which Adam's row-0 mask never reads
+            # rows >= 1 belong to one column each; row 0 is a constant zero
+            # token for the fused op, while the chain still reads it
             assert np.array_equal(t_f[1:], t_c[1:])
-            assert np.allclose(t_f[0], t_c[0], rtol=0.0, atol=1e-12)
+            assert not t_f[0].any()
 
     def test_frozen_w_num_gets_no_gradient(self):
         tok, batches = fused_case("frozen_w_num")
@@ -449,6 +445,23 @@ class TestFusedEmbedRows:
         tape = sum_all(e).backward()
         assert len(tape.nodes) == 5   # 3 leaves, embed_rows, sum_all
         assert e._parents == (tok.w_num, tok.table.weights, tok.identifiers)
+
+    def test_row_zero_is_a_constant_zero_token(self):
+        tok, [(num, cat), (num_b, cat_b)] = fused_case("both")
+        assert (cat == 0).any() and (cat_b == 0).any()
+        at_zero = tok.embed_rows(num, cat).data
+        tok.table.weights.data[0] = 1.0
+        e = tok.embed_rows(num, cat)
+        assert e.data.tobytes() == at_zero.tobytes()
+        sum_all(mul(e, e)).backward()
+        assert not tok.table.weights.grad[0].any()
+
+        def target():
+            a = tok.embed_rows(num, cat)
+            b = tok.embed_rows(num_b, cat_b)
+            return sum_all(mul(mul(a, a), b))
+
+        assert grad_check(target, [tok.table.weights]) < 1e-6
 
     def test_gradient_vs_finite_differences(self):
         tok, [(num, cat), (num_b, cat_b)] = fused_case("both", seed=3)
