@@ -18,15 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormalizationStats
-from .model import EncoderLayer, InContextClassifier, ModelConfig
-from .tokenizer import (
-    CategoricalTokenTable,
-    Column,
-    FeatureSchema,
-    FeatureTokenizer,
-    SchemaError,
-)
-from .autodiff import Tensor
+from .model import InContextClassifier, ModelConfig
+from .tokenizer import Column, FeatureSchema, SchemaError
 
 MAGIC = b"TTCK"
 FORMAT_VERSION = 1
@@ -234,8 +227,9 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def _stored(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
-    """The stored array ``name``; ``shape`` entries of None match any size."""
+def _check_stored(ckpt: Checkpoint, name: str, shape) -> None:
+    """Reject a missing, misshapen or non-finite stored array ``name``;
+    ``shape`` entries of None match any size."""
     if name not in ckpt.arrays:
         raise CheckpointError(f"checkpoint lacks parameter {name}")
     arr = ckpt.arrays[name]
@@ -244,59 +238,32 @@ def _stored(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
         expected = ["*" if want is None else want for want in shape]
         raise CheckpointError(f"parameter {name} has shape {list(arr.shape)}, "
                               f"expected {expected}")
-    return arr
-
-
-def _declared_shapes(ckpt: Checkpoint, config: ModelConfig):
-    """Name and shape of every parameter the header's sizes declare."""
-    d, sizes = config.embed_dim, ckpt.table_sizes
-    yield "tokenizer.w_num", (None, d)
-    yield "tokenizer.table", (1 + sum(sizes), d)
-    if "tokenizer.identifiers" in ckpt.arrays:
-        yield "tokenizer.identifiers", (len(sizes), d)
-    yield "label_embed", (1, d)
-    for i in range(config.layers):
-        for name, shape in EncoderLayer.parameter_shapes(d, config.ff_dim).items():
-            yield f"layers.{i}.{name}", shape
-    yield "head.w", (d, config.max_classes)
-    yield "head.b", (config.max_classes,)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"parameter {name} holds a non-finite value")
 
 
 def rebuild_model(ckpt: Checkpoint) -> InContextClassifier:
-    """Reconstruct the model with the stored parameters and frozen flags.
+    """Build the model from the stored parameters and frozen flags.
 
     Every size the header declares is compared with the stored arrays
     before the model is built, so a header cannot make it allocate more
-    than the file holds.
+    than the file holds. The tensors are copies of the stored arrays; no
+    parameter is drawn at random.
     """
     try:
         config = ModelConfig(**ckpt.model_config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint model_config: {exc}") from None
     declared = set()
-    for name, shape in _declared_shapes(ckpt, config):   # stops at the first miss
-        _stored(ckpt, name, shape)
+    shapes = InContextClassifier.parameter_shapes(
+        config, None, ckpt.table_sizes, "tokenizer.identifiers" in ckpt.arrays)
+    for name, shape in shapes:   # lazy: stops at the first miss
+        _check_stored(ckpt, name, shape)
         declared.add(name)
     undeclared = sorted(set(ckpt.arrays) - declared)
     if undeclared:
         raise CheckpointError(
             f"checkpoint stores parameter {undeclared[0]}, which its "
             "model_config does not declare")
-    d = config.embed_dim
-    w_num = Tensor(ckpt.arrays["tokenizer.w_num"].copy(),
-                   requires_grad=ckpt.flags["tokenizer.w_num"])
-    table = CategoricalTokenTable.create(ckpt.table_sizes, d,
-                                         np.random.default_rng(0))
-    table.weights.data[...] = ckpt.arrays["tokenizer.table"]
-    table.weights.requires_grad = ckpt.flags["tokenizer.table"]
-    identifiers = None
-    if "tokenizer.identifiers" in ckpt.arrays:
-        identifiers = Tensor(ckpt.arrays["tokenizer.identifiers"].copy(),
-                             requires_grad=ckpt.flags["tokenizer.identifiers"])
-    tokenizer = FeatureTokenizer(w_num, table, identifiers)
-    model = InContextClassifier.create(config, tokenizer,
-                                       np.random.default_rng(0))
-    for name, t in model.backbone_tensors():
-        t.data[...] = ckpt.arrays[name]
-        t.requires_grad = ckpt.flags[name]
-    return model
+    return InContextClassifier.from_arrays(config, ckpt.table_sizes, ckpt.arrays,
+                                           ckpt.flags)

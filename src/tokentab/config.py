@@ -115,7 +115,8 @@ class PretrainSettings:
     prior_min_class_fraction: float = 0.05
 
     def __post_init__(self):
-        _check_at_least(self, "seed", 0)
+        for key in ("seed", "episodes", "holdout"):
+            _check_at_least(self, key, 0)
         _check_at_least(self, "log_every", 1)
 
 

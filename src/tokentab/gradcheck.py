@@ -108,7 +108,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
         ft_target, [tok.w_num, tok.table.weights, tok.identifiers], eps=eps)
 
     # encoder stack over 2 supports and 2 queries
-    stack = [EncoderLayer(embed_dim, heads, ff_dim, rng) for _ in range(layers)]
+    stack = [EncoderLayer.create(embed_dim, heads, ff_dim, rng) for _ in range(layers)]
     x = Tensor(rng.standard_normal((4, embed_dim)), requires_grad=True)
 
     def encoder_target():

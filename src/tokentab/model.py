@@ -30,7 +30,7 @@ from .autodiff import (
     slice_rows,
     softmax_rows,
 )
-from .tokenizer import FeatureTokenizer
+from .tokenizer import CategoricalTokenTable, FeatureTokenizer
 
 
 @dataclass(frozen=True)
@@ -96,34 +96,47 @@ class SupportQueryBatch:
         return self.query_num.shape[0]
 
 
+def split_episode(rows, rng: np.random.Generator,
+                  support_fraction: float) -> SupportQueryBatch:
+    """Random support/query split of ``rows`` (anything with ``num``, ``cat``,
+    ``labels``, ``n_classes`` and a length): ``round(support_fraction * n)``
+    supports, clipped so that both sides keep at least one row.
+    """
+    n = len(rows)
+    s = int(np.clip(round(support_fraction * n), 1, n - 1))
+    perm = rng.permutation(n)
+    sup, qry = perm[:s], perm[s:]
+    return SupportQueryBatch(
+        support_num=rows.num[sup], support_cat=rows.cat[sup],
+        support_y=rows.labels[sup], query_num=rows.num[qry],
+        query_cat=rows.cat[qry], query_y=rows.labels[qry],
+        n_classes=rows.n_classes,
+    )
+
+
 class EncoderLayer:
     """Pre-norm transformer encoder layer: support/query attention then feed-forward."""
 
-    def __init__(self, dim: int, heads: int, ff_dim: int, rng: np.random.Generator):
+    def __init__(self, tensors: dict[str, Tensor], heads: int):
+        """``tensors`` maps every name of ``parameter_shapes`` to its tensor."""
+        dim = tensors["wq"].shape[0]
         if dim % heads != 0:
             raise DimensionError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        std = 1.0 / np.sqrt(dim)
+        vars(self).update(tensors)
 
-        def mat(rows, cols, scale):
-            return Tensor(rng.normal(0.0, scale, size=(rows, cols)), requires_grad=True)
-
-        self.wq = mat(dim, dim, std)
-        self.wk = mat(dim, dim, std)
-        self.wv = mat(dim, dim, std)
-        self.wo = mat(dim, dim, std)
-        self.bq = Tensor(np.zeros(dim), requires_grad=True)
-        self.bk = Tensor(np.zeros(dim), requires_grad=True)
-        self.bv = Tensor(np.zeros(dim), requires_grad=True)
-        self.bo = Tensor(np.zeros(dim), requires_grad=True)
-        self.w1 = mat(dim, ff_dim, std)
-        self.b1 = Tensor(np.zeros(ff_dim), requires_grad=True)
-        self.w2 = mat(ff_dim, dim, 1.0 / np.sqrt(ff_dim))
-        self.b2 = Tensor(np.zeros(dim), requires_grad=True)
-        self.ln1_g = Tensor(np.ones(dim), requires_grad=True)
-        self.ln1_b = Tensor(np.zeros(dim), requires_grad=True)
-        self.ln2_g = Tensor(np.ones(dim), requires_grad=True)
-        self.ln2_b = Tensor(np.zeros(dim), requires_grad=True)
+    @classmethod
+    def create(cls, dim: int, heads: int, ff_dim: int,
+               rng: np.random.Generator) -> "EncoderLayer":
+        """Matrices drawn from N(0, 1/rows) in parameter order; biases 0, gains 1."""
+        tensors = {}
+        for name, shape in cls.parameter_shapes(dim, ff_dim).items():
+            if len(shape) == 2:
+                data = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+            else:
+                data = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+            tensors[name] = Tensor(data, requires_grad=True)
+        return cls(tensors, heads)
 
     @staticmethod
     def parameter_shapes(dim: int, ff_dim: int) -> dict[str, tuple[int, ...]]:
@@ -181,12 +194,55 @@ class InContextClassifier:
         d = config.embed_dim
         std = 1.0 / np.sqrt(d)
         label_weights = Tensor(rng.normal(0.0, std, size=(1, d)), requires_grad=True)
-        layers = [EncoderLayer(d, config.heads, config.ff_dim, rng)
+        layers = [EncoderLayer.create(d, config.heads, config.ff_dim, rng)
                   for _ in range(config.layers)]
         head_w = Tensor(rng.normal(0.0, std, size=(d, config.max_classes)),
                         requires_grad=True)
         head_b = Tensor(np.zeros(config.max_classes), requires_grad=True)
         return cls(config, tokenizer, label_weights, layers, head_w, head_b)
+
+    @staticmethod
+    def parameter_shapes(config: ModelConfig, n_numerical: int | None,
+                         table_sizes, identifiers: bool):
+        """Name and shape of every parameter, lazily, in ``named_tensors`` order.
+
+        ``n_numerical`` None leaves the row count of ``tokenizer.w_num`` open.
+        """
+        d = config.embed_dim
+        yield "tokenizer.w_num", (n_numerical, d)
+        yield "tokenizer.table", (1 + sum(table_sizes), d)
+        if identifiers:
+            yield "tokenizer.identifiers", (len(table_sizes), d)
+        yield "label_embed", (1, d)
+        for i in range(config.layers):
+            for name, shape in EncoderLayer.parameter_shapes(d, config.ff_dim).items():
+                yield f"layers.{i}.{name}", shape
+        yield "head.w", (d, config.max_classes)
+        yield "head.b", (config.max_classes,)
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, table_sizes,
+                    arrays: dict[str, np.ndarray],
+                    trainable: dict[str, bool]) -> "InContextClassifier":
+        """The model holding a copy of ``arrays[name]`` for every parameter name.
+
+        The model has identifiers when ``arrays`` holds them; each tensor's
+        ``requires_grad`` is ``trainable[name]``. Shapes are not checked here.
+        """
+        names = cls.parameter_shapes(config, None, table_sizes,
+                                     "tokenizer.identifiers" in arrays)
+        # np.array copies: Tensor() would wrap a float64 array without copying
+        t = {name: Tensor(np.array(arrays[name], dtype=np.float64),
+                          requires_grad=trainable[name]) for name, _ in names}
+        tokenizer = FeatureTokenizer(
+            t["tokenizer.w_num"],
+            CategoricalTokenTable(t["tokenizer.table"], tuple(table_sizes)),
+            t.get("tokenizer.identifiers"))
+        layer_names = EncoderLayer.parameter_shapes(config.embed_dim, config.ff_dim)
+        layers = [EncoderLayer({n: t[f"layers.{i}.{n}"] for n in layer_names},
+                               config.heads) for i in range(config.layers)]
+        return cls(config, tokenizer, t["label_embed"], layers,
+                   t["head.w"], t["head.b"])
 
     def named_tensors(self):
         out = list(self.tokenizer.named_tensors())
@@ -195,11 +251,6 @@ class InContextClassifier:
             out.extend(layer.named_tensors(f"layers.{i}"))
         out.extend([("head.w", self.head_w), ("head.b", self.head_b)])
         return out
-
-    def backbone_tensors(self):
-        """Everything except the tokenizer: label embedder, encoder, head."""
-        return [(name, t) for name, t in self.named_tensors()
-                if not name.startswith("tokenizer.")]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_tensors()}

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericError, no_grad, softmax_cross_entropy
-from .model import InContextClassifier, ModelConfig, SupportQueryBatch
+from .model import (InContextClassifier, ModelConfig, SupportQueryBatch,
+                    split_episode)
 from .optim import Adam
 from .tokenizer import FeatureTokenizer
 
@@ -179,20 +180,17 @@ def sample_task(cfg: PriorConfig, seed: int, max_retries: int = 50) -> Synthetic
 def episode_from_task(task: SyntheticTask, rng: np.random.Generator,
                       support_fraction: float | None = None) -> SupportQueryBatch:
     """Split a task's rows into one support/query episode."""
-    rows = len(task)
     frac = support_fraction if support_fraction is not None else rng.uniform(0.3, 0.7)
-    s = int(np.clip(round(frac * rows), 1, rows - 1))
-    perm = rng.permutation(rows)
-    sup, qry = perm[:s], perm[s:]
-    return SupportQueryBatch(
-        support_num=task.num[sup],
-        support_cat=task.cat[sup],
-        support_y=task.labels[sup],
-        query_num=task.num[qry],
-        query_cat=task.cat[qry],
-        query_y=task.labels[qry],
-        n_classes=task.n_classes,
-    )
+    return split_episode(task, rng, frac)
+
+
+def _seeded_episode(cfg: PriorConfig, seed: int,
+                    support_fraction: float | None = None,
+                    ) -> tuple[SyntheticTask, SupportQueryBatch]:
+    """Task ``seed`` and its episode, split by that seed's own stream."""
+    task = sample_task(cfg, seed=seed)
+    rng = np.random.default_rng([cfg.seed, _SPLIT_TAG, seed])
+    return task, episode_from_task(task, rng, support_fraction)
 
 
 def build_pretraining_model(cfg: PriorConfig, model_cfg: ModelConfig,
@@ -219,12 +217,7 @@ def _episode_loss(model: InContextClassifier, batch: SupportQueryBatch):
 
 def holdout_episodes(cfg: PriorConfig, count: int) -> list[SupportQueryBatch]:
     """Fixed episodes (disjoint seed range) for loss tracking across a run."""
-    episodes = []
-    for i in range(count):
-        task = sample_task(cfg, seed=2**20 + i)
-        rng = np.random.default_rng([cfg.seed, _SPLIT_TAG, 2**20 + i])
-        episodes.append(episode_from_task(task, rng))
-    return episodes
+    return [_seeded_episode(cfg, 2**20 + i)[1] for i in range(count)]
 
 
 def mean_holdout_loss(model: InContextClassifier,
@@ -249,9 +242,7 @@ def pretrain(model: InContextClassifier, cfg: PriorConfig, episodes: int,
     if held:
         log["holdout_start"] = mean_holdout_loss(model, held)
     for e in range(episodes):
-        task = sample_task(cfg, seed=e)
-        rng = np.random.default_rng([cfg.seed, _SPLIT_TAG, e])
-        batch = episode_from_task(task, rng)
+        task, batch = _seeded_episode(cfg, e)
         opt.zero_grad()
         loss = _episode_loss(model, batch)
         value = loss.item()
@@ -287,9 +278,7 @@ def evaluate_fresh_tasks(model: InContextClassifier, cfg: PriorConfig,
 
     model_acc, base_acc = [], []
     for i in range(n_tasks):
-        task = sample_task(cfg, seed=seed_offset + i)
-        rng = np.random.default_rng([cfg.seed, _SPLIT_TAG, seed_offset + i])
-        batch = episode_from_task(task, rng, support_fraction=0.5)
+        _, batch = _seeded_episode(cfg, seed_offset + i, support_fraction=0.5)
         probs = model.predict_proba(batch).data
         model_acc.append(accuracy(probs, batch.query_y))
         base_acc.append(majority_baseline_accuracy(batch))

@@ -11,6 +11,7 @@ categorical columns distinguishable after the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,11 +95,12 @@ class FeatureSchema:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out, pos = [], 1
-        for size in self.vocab_sizes:
-            out.append(pos)
-            pos += size
-        return tuple(out)
+        return _first_rows(self.vocab_sizes)
+
+
+def _first_rows(sizes) -> tuple[int, ...]:
+    """First token-table row of each categorical column: consecutive ranges from 1."""
+    return tuple(accumulate(sizes, initial=1))[:-1]
 
 
 def map_category(value, j: int, schema: FeatureSchema) -> int:
@@ -129,32 +131,24 @@ class CategoricalTokenTable:
     """
 
     weights: Tensor
-    offsets: tuple[int, ...]
     sizes: tuple[int, ...]
 
-    def __post_init__(self):
-        pos = 1
-        for off, size in zip(self.offsets, self.sizes):
-            if off != pos:
-                raise SchemaError(f"offsets must partition rows 1..N, got {self.offsets}")
-            pos += size
-        if pos != self.weights.shape[0]:
-            raise SchemaError(
-                f"table has {self.weights.shape[0]} rows, offsets need {pos}"
-            )
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        return _first_rows(self.sizes)
+
+    @staticmethod
+    def draw(sizes, dim: int, rng: np.random.Generator) -> np.ndarray:
+        """Initial table rows: N(0, 1/dim), with the NaN row at zero."""
+        data = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(1 + sum(sizes), dim))
+        data[NAN_ROW] = 0.0
+        return data
 
     @classmethod
-    def create(cls, sizes, dim: int, rng: np.random.Generator,
-               trainable: bool = True) -> "CategoricalTokenTable":
+    def create(cls, sizes, dim: int,
+               rng: np.random.Generator) -> "CategoricalTokenTable":
         sizes = tuple(int(s) for s in sizes)
-        rows = 1 + sum(sizes)
-        data = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(rows, dim))
-        data[NAN_ROW] = 0.0
-        offsets, pos = [], 1
-        for s in sizes:
-            offsets.append(pos)
-            pos += s
-        return cls(Tensor(data, requires_grad=trainable), tuple(offsets), sizes)
+        return cls(Tensor(cls.draw(sizes, dim, rng), requires_grad=True), sizes)
 
 
 class FeatureTokenizer:

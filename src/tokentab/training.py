@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import (NumericError, Tensor, add, mul_scalar, no_grad,
+from .autodiff import (NumericError, add, mul_scalar, no_grad,
                        softmax_cross_entropy, softmax_rows)
 from .data import (
     EncodedDataset,
@@ -23,12 +23,11 @@ from .data import (
     split_train_test,
 )
 from .metrics import UndefinedMetricError, accuracy, roc_auc_ovo
-from .model import InContextClassifier, SupportQueryBatch
+from .model import InContextClassifier, SupportQueryBatch, split_episode
 from .optim import Adam
 from .tokenizer import (
     CategoricalTokenTable,
     FeatureSchema,
-    FeatureTokenizer,
     SchemaError,
     orthogonal_loss,
 )
@@ -131,17 +130,9 @@ class RepetitionReport:
 
 def sample_episode(ds: EncodedDataset, rng: np.random.Generator,
                    support_fraction: float) -> SupportQueryBatch:
-    rows = len(ds)
-    if rows < 2:
+    if len(ds) < 2:
         raise SchemaError("need at least two rows to build an episode")
-    s = int(np.clip(round(support_fraction * rows), 1, rows - 1))
-    perm = rng.permutation(rows)
-    sup, qry = perm[:s], perm[s:]
-    return SupportQueryBatch(
-        support_num=ds.num[sup], support_cat=ds.cat[sup], support_y=ds.labels[sup],
-        query_num=ds.num[qry], query_cat=ds.cat[qry], query_y=ds.labels[qry],
-        n_classes=ds.n_classes,
-    )
+    return split_episode(ds, rng, support_fraction)
 
 
 def full_support_episode(train: EncodedDataset,
@@ -176,25 +167,23 @@ def build_finetune_model(pretrained: InContextClassifier, schema: FeatureSchema,
         )
     rng = np.random.default_rng([cfg.seed, _INIT_TAG])
     d = config.embed_dim
-    w_num = Tensor(pretrained.tokenizer.w_num.data[:schema.n].copy(),
-                   requires_grad=False)  # frozen for the whole fine-tune
-    table = CategoricalTokenTable.create(schema.vocab_sizes, d, rng)
-    identifiers = None
+    arrays = {name: t.data for name, t in pretrained.named_tensors()
+              if name != "tokenizer.identifiers"}
+    arrays["tokenizer.w_num"] = arrays["tokenizer.w_num"][:schema.n]
+    arrays["tokenizer.table"] = CategoricalTokenTable.draw(schema.vocab_sizes, d, rng)
     if cfg.variant != "no_identifiers":
         # fresh identifiers must start small relative to token scale: a
         # token-sized random bias on every token of a column shifts the
         # embedding distribution the frozen backbone was trained on and
         # destabilizes fine-tuning
-        identifiers = Tensor(rng.normal(0.0, 0.1 / np.sqrt(d), size=(schema.m, d)),
-                             requires_grad=True)
-    tokenizer = FeatureTokenizer(w_num, table, identifiers)
-    model = InContextClassifier.create(config, tokenizer, rng)
-    pretrained_state = {name: t.data for name, t in pretrained.backbone_tensors()}
-    for name, t in model.backbone_tensors():
-        t.data[...] = pretrained_state[name]
-        t.requires_grad = (cfg.trainable == "full_model"
-                           or name in ("head.w", "head.b"))
-    return model
+        arrays["tokenizer.identifiers"] = rng.normal(0.0, 0.1 / np.sqrt(d),
+                                                     size=(schema.m, d))
+    full = cfg.trainable == "full_model"
+    trainable = {name: full or name in ("head.w", "head.b") for name in arrays}
+    trainable.update({"tokenizer.w_num": False,   # frozen for the whole fine-tune
+                      "tokenizer.table": True, "tokenizer.identifiers": True})
+    return InContextClassifier.from_arrays(config, schema.vocab_sizes, arrays,
+                                           trainable)
 
 
 # ---------------------------------------------------------------------------

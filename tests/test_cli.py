@@ -284,6 +284,8 @@ class TestSettingsExitCodes:
         (["grad-check", "--eps", "1"], "eps"),
         (["pretrain", "--log_every", "0"], "log_every"),
         (["pretrain", "--max_classes", "2"], "max_classes"),
+        (["pretrain", "--episodes", "-1"], "episodes"),
+        (["pretrain", "--holdout", "-1"], "holdout"),
     ])
     def test_unusable_setting_is_usage_error(self, tmp_path, capsys, argv, named):
         if argv[0] in ("pretrain", "finetune"):
@@ -352,3 +354,32 @@ class TestMalformedCheckpointParams:
                      "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA
         assert named in capsys.readouterr().err
+
+
+class TestNonFiniteCheckpointValues:
+    @pytest.mark.parametrize("name", ["head.w", "label_embed", "tokenizer.table"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_is_data_error(
+            self, tmp_path, dataset_descriptor, capsys, name, value):
+        pre = run_pretrain(tmp_path / "pre")
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(dataset_descriptor),
+                     "--checkpoint", str(pre), "--out", str(out), "--epochs", "1",
+                     "--steps_per_epoch", "1", "--seeds", "0"]) == EXIT_OK
+        ckpt = out / "checkpoint_full_seed0.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        header_len = int.from_bytes(blob[8:16], "little")
+        pos = 16 + header_len
+        for entry in json.loads(blob[16:pos])["params"]:
+            if entry["name"] == name:
+                break
+            pos += 8 * int(np.prod(entry["shape"]))
+        blob[pos:pos + 8] = np.array([value], dtype="<f8").tobytes()
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        codes = (main(["evaluate", "--data", str(dataset_descriptor),
+                       "--checkpoint", str(ckpt)]),
+                 main(["export-heatmaps", "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "heat")]))
+        assert codes == (EXIT_DATA, EXIT_DATA)
+        assert capsys.readouterr().err.count(f"parameter {name} ") == 2

@@ -90,7 +90,7 @@ class TestEncoderForward:
         # replicate one layer step by step without the autodiff engine
         rng = np.random.default_rng(1)
         dim = 2
-        layer = EncoderLayer(dim, 1, 3, rng)
+        layer = EncoderLayer.create(dim, 1, 3, rng)
         x = np.array([[0.3, -1.2], [0.8, 0.4]])
 
         def ln(v, gain, bias, eps=1e-5):
@@ -120,7 +120,7 @@ class TestEncoderForward:
         # a query row is masked out for every row but itself: moving it
         # must leave the supports and the other query bit-identical
         rng = np.random.default_rng(2)
-        layer = EncoderLayer(4, 2, 8, rng)
+        layer = EncoderLayer.create(4, 2, 8, rng)
         x = rng.standard_normal((4, 4))
         base = layer.forward(Tensor(x), 2).data
         x[3] += 5.0
@@ -130,7 +130,7 @@ class TestEncoderForward:
 
     def test_nan_activations_reported_with_layer_index(self):
         rng = np.random.default_rng(3)
-        stack = [EncoderLayer(4, 2, 8, rng) for _ in range(2)]
+        stack = [EncoderLayer.create(4, 2, 8, rng) for _ in range(2)]
         stack[1].wo.data[...] = np.nan
         x = Tensor(rng.standard_normal((3, 4)))
         with pytest.raises(NumericError, match="layer 1"):
