@@ -60,7 +60,7 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)   # zeros_like's wrapper is slower
         self.grad += g
 
     def backward(self) -> "ComputationTape":
@@ -298,52 +298,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities, attention and losses
+# losses and attention
 # ---------------------------------------------------------------------------
-
-_GELU_C = np.sqrt(2.0 / np.pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    # tanh form; the backward uses the exact derivative of this same form,
-    # which keeps finite-difference checks honest.
-    u = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
-
-    def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
-        x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du))
-
-    return _op(out_data, (x,), backward)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization for a 2-D activation matrix."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"layer_norm on shape {x.shape}")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError("layer_norm gain/bias must be width-d vectors")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
-
-    def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=1, keepdims=True)
-            term -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-            x._accumulate(inv * term)
-
-    return _op(out_data, (x, gain, bias), backward)
-
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-softmax of the labelled class, stabilized.
@@ -393,36 +349,32 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
-    """Multi-head attention over n rows whose first ``s`` are supports.
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(n, d) -> contiguous (heads, n, d / heads): head h is column block h."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2))
 
-    Every row attends to all supports and each query also to itself, never
-    to another query. Head h uses column block h of the (n, d) projections.
-    Scores are a (heads, n, s) block plus one self score per query, never
-    an (n, n) matrix. Returns the per-head contexts side by side, (n, d).
 
-    The forward runs in blocks of rows (``_row_blocks``); each row's softmax
-    still reads all s supports at once. Without a recorded graph the blocks
-    share one (heads, block, s) scratch buffer; with one they fill the full
-    weight block the backward reads.
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """Inverse of ``_split_heads``."""
+    heads, n, width = a.shape
+    return a.transpose(1, 0, 2).reshape(n, heads * width)
+
+
+def _attention_forward(qh, kh, vh, s: int, record: bool):
+    """Support/query attention on split heads; returns (context, saved).
+
+    The rows run in blocks (``_row_blocks``); each row's softmax still reads
+    all s supports at once. ``saved`` is what ``_attention_backward`` reads,
+    or None unless ``record``. Without it the blocks share one
+    (heads, block, s) scratch buffer; with it they fill the full weight
+    block the backward reads.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    n, d = q.shape
-    if heads < 1 or d % heads or not 1 <= s <= n:
-        raise DimensionError(f"attention: {heads} heads, {s} supports, shape {q.shape}")
-    scale = 1.0 / np.sqrt(d // heads)
-
-    def split(a):   # (n, d) -> (heads, n, d / heads)
-        return np.ascontiguousarray(a.reshape(n, heads, -1).transpose(1, 0, 2))
-
-    def merge(a):   # inverse of split
-        return a.transpose(1, 0, 2).reshape(n, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    heads, n, width = qh.shape
+    if not 1 <= s <= n:
+        raise DimensionError(f"attention: {s} supports for {n} rows")
+    scale = 1.0 / np.sqrt(width)
     ks, vs = kh[:, :s], vh[:, :s]
     blocks = _row_blocks(n)
-    record = _recording and (q.requires_grad or k.requires_grad or v.requires_grad)
     if record:
         p = np.empty((heads, n, s))
     else:
@@ -434,40 +386,272 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
               else scratch[:heads * (b - a) * s].reshape(heads, b - a, s))
         c = min(max(a, s), b)   # rows c..b of this block are queries
         pb_own = p_own[:, c - s:b - s]   # empty when c == b
-        own = (qh[:, c:b] * kh[:, c:b]).sum(axis=2) * scale   # self scores
+        own = np.add.reduce(qh[:, c:b] * kh[:, c:b], axis=2)   # self scores
+        own *= scale
         np.matmul(qh[:, a:b], ks.transpose(0, 2, 1), out=pb)
         pb *= scale
-        top = pb.max(axis=2)
+        top = np.maximum.reduce(pb, axis=2)
         np.maximum(top[:, c - a:], own, out=top[:, c - a:])
         pb -= top[:, :, None]
         np.exp(pb, out=pb)
         np.exp(own - top[:, c - a:], out=pb_own)
-        total = pb.sum(axis=2)
+        total = np.add.reduce(pb, axis=2)
         total[:, c - a:] += pb_own
         pb /= total[:, :, None]
         pb_own /= total[:, c - a:]
         np.matmul(pb, vs, out=out[:, a:b])
         out[:, c:b] += pb_own[:, :, None] * vh[:, c:b]
+    saved = (qh, kh, vh, p, p_own, s, scale) if record else None
+    return _merge_heads(out), saved
+
+
+def _attention_backward(g: np.ndarray, saved):
+    """Gradients (dq, dk, dv), each (n, d), of the context gradient ``g``."""
+    qh, kh, vh, p, p_own, s, scale = saved
+    ks, vs = kh[:, :s], vh[:, :s]
+    gh = _split_heads(g, qh.shape[0])
+    dp = np.matmul(gh, vs.transpose(0, 2, 1))
+    dp_own = np.add.reduce(gh[:, s:] * vh[:, s:], axis=2)
+    inner = np.add.reduce(dp * p, axis=2)
+    inner[:, s:] += dp_own * p_own
+    dp -= inner[:, :, None]
+    dp *= p                               # d loss / d scaled scores
+    d_own = p_own * (dp_own - inner[:, s:])
+    dq = np.matmul(dp, ks)
+    dq[:, s:] += d_own[:, :, None] * kh[:, s:]
+    dk = np.empty_like(qh)                # support rows, then each query's own
+    np.matmul(dp.transpose(0, 2, 1), qh, out=dk[:, :s])
+    np.multiply(d_own[:, :, None], qh[:, s:], out=dk[:, s:])
+    dv = np.empty_like(vh)
+    np.matmul(p.transpose(0, 2, 1), gh, out=dv[:, :s])
+    np.multiply(p_own[:, :, None], gh[:, s:], out=dv[:, s:])
+    dq *= scale
+    dk *= scale
+    return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
+    """Multi-head attention over n rows whose first ``s`` are supports.
+
+    Every row attends to all supports and each query also to itself, never
+    to another query. Head h uses column block h of the (n, d) projections.
+    Scores are a (heads, n, s) block plus one self score per query, never
+    an (n, n) matrix. Returns the per-head contexts side by side, (n, d).
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    if heads < 1 or q.shape[1] % heads:
+        raise DimensionError(f"attention: {heads} heads, shape {q.shape}")
+    record = _recording and (q.requires_grad or k.requires_grad or v.requires_grad)
+    out, saved = _attention_forward(*(_split_heads(t.data, heads) for t in (q, k, v)),
+                                    s, record)
 
     def backward(g):
-        gh = split(g)
-        dp = np.matmul(gh, vs.transpose(0, 2, 1))
-        dp_own = (gh[:, s:] * vh[:, s:]).sum(axis=2)
-        inner = (dp * p).sum(axis=2)
-        inner[:, s:] += dp_own * p_own
-        dp -= inner[:, :, None]
-        dp *= p                               # d loss / d scaled scores
-        d_own = p_own * (dp_own - inner[:, s:])
-        dq = np.matmul(dp, ks)
-        dq[:, s:] += d_own[:, :, None] * kh[:, s:]
-        dk = np.concatenate([np.matmul(dp.transpose(0, 2, 1), qh),
-                             d_own[:, :, None] * qh[:, s:]], axis=1)
-        dv = np.concatenate([np.matmul(p.transpose(0, 2, 1), gh),
-                             p_own[:, :, None] * gh[:, s:]], axis=1)
-        for t, grad in ((q, dq * scale), (k, dk * scale), (v, dv)):
-            t._accumulate(merge(grad))
+        for t, grad in zip((q, k, v), _attention_backward(g, saved)):
+            t._accumulate(grad)
 
-    return _op(merge(out), (q, k, v), backward)
+    return _op(out, (q, k, v), backward)
+
+
+# ---------------------------------------------------------------------------
+# the encoder layer
+# ---------------------------------------------------------------------------
+
+#: parameter names of one encoder layer, in checkpoint order
+LAYER_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+_LN_EPS = 1e-5
+
+
+def _affine(a: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    y = a @ w.data
+    y += b.data
+    return y
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=1, keepdims=True)``: the same sum and division, without
+    the method's Python wrapper."""
+    m = np.add.reduce(a, axis=1, keepdims=True)
+    m /= a.shape[1]
+    return m
+
+
+def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor):
+    """Row-wise layer norm; returns (output, normalized rows, 1 / row std)."""
+    mu = _row_mean(x)
+    xhat = x - mu
+    var = _row_mean(xhat ** 2)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+    return out, xhat, inv
+
+
+def _layer_norm_backward(g, xhat, inv, gain: Tensor, bias: Tensor, need_x: bool):
+    """Accumulate the gain and bias gradients; return d input, or None."""
+    if gain.requires_grad:
+        gain._accumulate(np.add.reduce(g * xhat, axis=0))
+    if bias.requires_grad:
+        bias._accumulate(np.add.reduce(g, axis=0))
+    if not need_x:
+        return None
+    dxhat = g * gain.data
+    term = dxhat - _row_mean(dxhat)
+    dxhat *= xhat
+    term -= xhat * _row_mean(dxhat)
+    term *= inv
+    return term
+
+
+def _gelu_backward(g, u, t):
+    """Gradient through the tanh-form gelu at ``u``; ``t`` is the forward's tanh.
+
+    The exact derivative of that same form, which keeps finite-difference
+    checks honest.
+    """
+    du = u * u
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    curve = 0.5 * u
+    curve *= 1.0 - t ** 2
+    curve *= du
+    out = 1.0 + t
+    out *= 0.5
+    out += curve
+    out *= g
+    return out
+
+
+def _check_finite(a: np.ndarray) -> None:
+    """Raise as numpy's raised errors do, so one handler names the block."""
+    if not np.isfinite(a).all():
+        raise FloatingPointError("non-finite values")
+
+
+def encoder_layer(x: Tensor, s: int, params, heads: int) -> Tensor:
+    """One pre-norm encoder layer over rows whose first ``s`` are supports.
+
+    ``params`` maps every name of ``LAYER_PARAMS`` to its tensor. The layer
+    is LN -> q, k, v products -> support/query attention -> output product
+    plus residual, then LN -> W1 -> gelu (tanh form) -> W2 plus residual,
+    recorded as one graph node. Its arithmetic is that of the same chain of
+    generic ops, expression for expression and in the same order, so the
+    forward and every gradient are bit-identical to it.
+
+    The forward runs with numpy overflow and invalid operations raised; one
+    of those, or a non-finite block output, is a ``NumericError`` naming the
+    block ("attention" or "feed-forward"). Only what the backward reads is
+    kept, and only for tensors whose gradient it computes.
+    """
+    p = [params[name] for name in LAYER_PARAMS]
+    wq, bq, wk, bk, wv, bv, wo, bo, w1, b1, w2, b2, g1, c1, g2, c2 = p
+    if x.data.ndim != 2 or x.shape[1] != wq.shape[0] or x.shape[1] % heads:
+        raise DimensionError(f"encoder layer: input {x.shape}, {heads} heads, "
+                             f"width {wq.shape[0]}")
+    record = _recording and (x.requires_grad or any(t.requires_grad for t in p))
+    # which intermediates need a gradient (all False without a graph)
+    need_h = record and (x.requires_grad or g1.requires_grad or c1.requires_grad)
+    need_ctx = need_h or record and any(t.requires_grad
+                                        for t in (wq, bq, wk, bk, wv, bv))
+    need_x1 = need_ctx or record and (x.requires_grad or wo.requires_grad
+                                      or bo.requires_grad)
+    need_f = need_x1 or record and (g2.requires_grad or c2.requires_grad)
+    saved = {}
+    block = "attention"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h, xhat, inv = _layer_norm(x.data, g1, c1)
+            if need_h:
+                saved["ln1"] = (xhat, inv)
+            if record and (wq.requires_grad or wk.requires_grad or wv.requires_grad):
+                saved["h"] = h
+            del xhat, inv
+            qh, kh, vh = (_split_heads(_affine(h, w, b), heads)
+                          for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+            del h
+            ctx, saved["attention"] = _attention_forward(qh, kh, vh, s, need_ctx)
+            del qh, kh, vh
+            x1 = ctx @ wo.data
+            x1 += bo.data
+            x1 += x.data
+            if record and wo.requires_grad:
+                saved["ctx"] = ctx
+            del ctx
+            _check_finite(x1)
+
+            block = "feed-forward"
+            f, xhat, inv = _layer_norm(x1, g2, c2)
+            if need_f:
+                saved["ln2"] = (xhat, inv)
+            del xhat, inv
+            u = _affine(f, w1, b1)
+            if record and w1.requires_grad:
+                saved["f"] = f
+            del f
+            t = u * u
+            t *= u
+            t *= 0.044715
+            t += u
+            t *= _GELU_C
+            np.tanh(t, out=t)
+            a = 0.5 * u
+            a *= 1.0 + t
+            if record:
+                saved["gelu"] = (u, t)
+            del u, t
+            out = _affine(a, w2, b2)
+            out += x1
+            if record and w2.requires_grad:
+                saved["a"] = a
+            del a, x1
+            _check_finite(out)
+    except FloatingPointError as exc:
+        raise NumericError(f"{block}: {exc}") from None
+
+    def backward(g):
+        if b2.requires_grad:
+            b2._accumulate(np.add.reduce(g, axis=0))
+        if w2.requires_grad:
+            w2._accumulate(saved["a"].T @ g)
+        du = _gelu_backward(g @ w2.data.T, *saved["gelu"])
+        if b1.requires_grad:
+            b1._accumulate(np.add.reduce(du, axis=0))
+        if w1.requires_grad:
+            w1._accumulate(saved["f"].T @ du)
+        if not need_f:
+            return
+        dx1 = _layer_norm_backward(du @ w1.data.T, *saved["ln2"], g2, c2, need_x1)
+        if dx1 is None:
+            return
+        dx1 += g                              # the feed-forward residual
+        x._accumulate(dx1)                    # the attention residual
+        if bo.requires_grad:
+            bo._accumulate(np.add.reduce(dx1, axis=0))
+        if wo.requires_grad:
+            wo._accumulate(saved["ctx"].T @ dx1)
+        if not need_ctx:
+            return
+        dq, dk, dv = _attention_backward(dx1 @ wo.data.T, saved["attention"])
+        for w, b, d in ((wv, bv, dv), (wk, bk, dk), (wq, bq, dq)):
+            if b.requires_grad:
+                b._accumulate(np.add.reduce(d, axis=0))
+            if w.requires_grad:
+                w._accumulate(saved["h"].T @ d)
+        if not need_h:
+            return
+        dh = dv @ wv.data.T                   # the order the chain's tape took
+        dh += dk @ wk.data.T
+        dh += dq @ wq.data.T
+        dx = _layer_norm_backward(dh, *saved["ln1"], g1, c1, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
+
+    return _op(out, (x, *p), backward)
 
 
 # ---------------------------------------------------------------------------

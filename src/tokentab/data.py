@@ -84,6 +84,17 @@ def _parse_cell(text: str, kind: str):
     return text
 
 
+def _rows(path, reader):
+    """(line, fields) for each row of ``reader``, where line is the file line
+    the row ends on (a quoted field may span lines); a row the csv module
+    rejects is a ParseError naming its line."""
+    try:
+        for values in reader:
+            yield reader.line_num, values
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
     """Read a comma-delimited file with a header row into a typed dataset.
 
@@ -93,13 +104,13 @@ def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
     """
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")   # drop a BOM
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(path, csv.reader(fh))
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -114,7 +125,7 @@ def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
                       for h in feature_names)
         cells: list[list] = []
         raw_labels: list[str] = []
-        for line_no, values in enumerate(reader, start=2):
+        for line_no, values in reader:
             if not values:
                 continue  # ignore blank lines
             if len(values) != len(header):

@@ -19,10 +19,8 @@ from .autodiff import (
     NumericError,
     Tensor,
     add,
-    attention,
     concat_rows,
-    gelu,
-    layer_norm,
+    encoder_layer,
     linear_forward,
     no_grad,
     outer_scale_row,
@@ -154,22 +152,16 @@ class EncoderLayer:
 
     def forward(self, x: Tensor, s: int) -> Tensor:
         """One layer over rows whose first ``s`` are supports, the rest queries."""
-        h = layer_norm(x, self.ln1_g, self.ln1_b)
-        context = attention(linear_forward(h, self.wq, self.bq),
-                            linear_forward(h, self.wk, self.bk),
-                            linear_forward(h, self.wv, self.bv), s, self.heads)
-        x = add(x, linear_forward(context, self.wo, self.bo))
-        f = layer_norm(x, self.ln2_g, self.ln2_b)
-        f = linear_forward(gelu(linear_forward(f, self.w1, self.b1)), self.w2, self.b2)
-        return add(x, f)
+        return encoder_layer(x, s, vars(self), self.heads)   # vars: the 16 tensors
 
 
 def encoder_forward(x: Tensor, s: int, layers) -> Tensor:
     """Run the stack over ``s`` supports then queries; empty is the identity."""
     for i, layer in enumerate(layers):
-        x = layer.forward(x, s)
-        if not np.isfinite(x.data).all():
-            raise NumericError(f"non-finite activations after encoder layer {i}")
+        try:
+            x = layer.forward(x, s)
+        except NumericError as exc:
+            raise NumericError(f"encoder layer {i} {exc}") from None
     return x
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from encoder_oracle import gelu, layer_norm
 from tokentab.autodiff import (
     DimensionError,
     Tensor,
     _op,
     add,
-    gelu,
-    layer_norm,
     linear_forward,
     matmul,
     mul_scalar,

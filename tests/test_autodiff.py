@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attention_oracle import concat_cols, masked_softmax, transpose2d
+from encoder_oracle import gelu, layer_norm
 from tokentab import autodiff
 from tokentab.autodiff import (
     DimensionError,
@@ -15,8 +16,6 @@ from tokentab.autodiff import (
     attention,
     concat_rows,
     gather_rows,
-    gelu,
-    layer_norm,
     linear_forward,
     matmul,
     mul,

@@ -1,0 +1,162 @@
+"""Exit codes of ``main()`` on damaged inputs: CSV contents and huge weights.
+
+Every input maps to 0 (ok), 1 (usage), 2 (data) or 3 (numeric), with a
+message naming where it went wrong, and never to a traceback or a numpy
+warning.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import make_mixed_dataset, write_dataset_csv
+
+from tokentab.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+
+EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}
+HEADER = "x0,x1,c0,c1,label"
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """(pretrained, fine-tuned) checkpoint paths of a small model."""
+    root = tmp_path_factory.mktemp("ckpt")
+    descriptor = write_dataset_csv(root, make_mixed_dataset(rows=40, seed=2))
+    pre = root / "pre"
+    assert main(["pretrain", "--out", str(pre), "--episodes", "4",
+                 "--embed_dim", "8", "--layers", "1", "--heads", "2",
+                 "--ff_dim", "16", "--holdout", "0", "--prior_max_features", "3",
+                 "--prior_samples_min", "16", "--prior_samples_max", "24"]) == EXIT_OK
+    out = root / "ft"
+    assert main(["finetune", "--data", str(descriptor),
+                 "--checkpoint", str(pre / "checkpoint.ckpt"), "--out", str(out),
+                 "--epochs", "1", "--steps_per_epoch", "1", "--seeds", "0"]) == EXIT_OK
+    return pre / "checkpoint.ckpt", out / "checkpoint_full_seed0.ckpt"
+
+
+def write_csv(dir_path, data: bytes):
+    """Write ``data`` as the csv of a mixed-dataset descriptor; returns it."""
+    (dir_path / "fuzz.csv").write_bytes(data)
+    descriptor = dir_path / "fuzz.descriptor"
+    descriptor.write_text("csv = fuzz.csv\ntarget = label\ncategorical = c0,c1\n",
+                          encoding="utf-8")
+    return descriptor
+
+
+def mixed_csv_text(rows=40, seed=2):
+    raw = make_mixed_dataset(rows=rows, seed=seed)
+    lines = [HEADER]
+    for cells, label in zip(raw.cells, raw.labels):
+        lines.append(",".join(["" if c is None else str(c) for c in cells]
+                              + [raw.label_names[label]]))
+    return "\n".join(lines) + "\n"
+
+
+def finetune(checkpoint, descriptor, out):
+    return main(["finetune", "--data", str(descriptor), "--checkpoint",
+                 str(checkpoint), "--out", str(out), "--epochs", "1",
+                 "--steps_per_epoch", "1", "--seeds", "0"])
+
+
+def evaluate(checkpoint, descriptor):
+    return main(["evaluate", "--data", str(descriptor),
+                 "--checkpoint", str(checkpoint)])
+
+
+class TestCsvDefects:
+    def test_field_over_the_csv_limit_is_data_error_naming_the_line(
+            self, checkpoints, tmp_path, capsys):
+        lines = mixed_csv_text().split("\n")
+        lines[2] = "1.0,2.0," + "u" * 131073 + ",v,0"   # line 3 of the file
+        descriptor = write_csv(tmp_path, "\n".join(lines).encode("utf-8"))
+        capsys.readouterr()
+        assert finetune(checkpoints[0], descriptor, tmp_path / "ft") == EXIT_DATA
+        assert evaluate(checkpoints[1], descriptor) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("line 3") == 2 and "field larger than field limit" in err
+
+    def test_ragged_row_after_a_multi_line_field_names_its_file_line(
+            self, checkpoints, tmp_path, capsys):
+        lines = mixed_csv_text().split("\n")
+        lines[1] = '0.5,1.5,"u\nv",v,0'   # one record on lines 2 and 3
+        lines[2] = "0.5,1.5"              # file line 4
+        descriptor = write_csv(tmp_path, "\n".join(lines).encode("utf-8"))
+        capsys.readouterr()
+        assert evaluate(checkpoints[1], descriptor) == EXIT_DATA
+        assert "line 4 has 2 fields, expected 5" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_part_of_the_first_header(
+            self, checkpoints, tmp_path, capsys):
+        plain = write_csv(tmp_path, mixed_csv_text().encode("utf-8"))
+        assert evaluate(checkpoints[1], plain) == EXIT_OK
+        expected = capsys.readouterr().out
+        marked = write_csv(tmp_path, mixed_csv_text().encode("utf-8-sig"))
+        assert evaluate(checkpoints[1], marked) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert finetune(checkpoints[0], marked, tmp_path / "ft") == EXIT_OK
+
+
+FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "u", "v", "1.5", "", " ", "2", "-3e5", "nan",
+                     "inf", "?", '"', '""', 'a"b', "\x00", "\ufeff", "é"]),
+    st.text(alphabet='uv01,"\n\r\x00 ', max_size=6),
+)
+# mostly five fields, as the header has; sometimes ragged
+ROW_FIELDS = st.one_of(st.lists(FIELDS, min_size=5, max_size=5),
+                       st.lists(FIELDS, max_size=7))
+HEADERS = st.one_of(st.just(HEADER), st.sampled_from([
+    "\ufeff" + HEADER, '"x0","x1","c0","c1","label"', "label", "",
+    "x0,x0,c0,c1,label", HEADER + ",label", "x0,x1,c0,c1", '"x0,x1,c0,c1,label']))
+ROWS = st.lists(st.tuples(ROW_FIELDS, st.booleans()), max_size=4)
+
+
+def render(header, rows, valid_rows, huge):
+    """A header, fuzzed rows (raw or quoted) and some rows that parse; with
+    ``huge``, first a row whose middle field exceeds the csv module's limit."""
+    lines = [header] + (["0,1," + "w" * 131073 + ",u,1"] if huge else [])
+    for fields, quoted in rows:
+        if quoted:
+            fields = ['"' + f.replace('"', '""') + '"' for f in fields]
+        lines.append(",".join(fields))
+    lines.extend(mixed_csv_text(rows=valid_rows).split("\n")[1:])
+    return "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(header=HEADERS, rows=ROWS, valid_rows=st.sampled_from([12, 0, 1, 3]),
+       bom=st.booleans(), huge=st.sampled_from([False, False, False, True]))
+def test_fuzzed_csv_contents_exit_with_a_code(checkpoints, tmp_path, capsys,
+                                              header, rows, valid_rows, bom, huge):
+    text = render(header, rows, valid_rows, huge)
+    descriptor = write_csv(tmp_path, text.encode("utf-8-sig" if bom else "utf-8"))
+    assert evaluate(checkpoints[1], descriptor) in EXIT_CODES
+    assert finetune(checkpoints[0], descriptor, tmp_path / "ft") in EXIT_CODES
+
+
+def test_huge_encoder_weight_is_numeric_error_without_warnings(
+        checkpoints, tmp_path, capsys):
+    """layers.0.w1[0,0] = 1e300 overflows in the gelu: exit 3, no warning."""
+    blob = bytearray(checkpoints[1].read_bytes())
+    header_len = int.from_bytes(blob[8:16], "little")
+    pos = 16 + header_len
+    for entry in json.loads(blob[16:pos])["params"]:
+        if entry["name"] == "layers.0.w1":
+            break
+        pos += 8 * int(np.prod(entry["shape"]))
+    blob[pos:pos + 8] = np.array([1e300], dtype="<f8").tobytes()
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(bytes(blob))
+    descriptor = write_csv(tmp_path, mixed_csv_text().encode("utf-8"))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert evaluate(ckpt, descriptor) == EXIT_NUMERIC
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "encoder layer 0 feed-forward" in err and "RuntimeWarning" not in err
