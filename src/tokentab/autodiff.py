@@ -208,39 +208,6 @@ def linear_forward(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return y if b is None else add(y, b)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"row() on shape {a.shape}")
-    if not 0 <= i < a.shape[0]:
-        raise IndexError(f"row {i} out of range for {a.shape[0]} rows")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        a._accumulate(full)
-
-    return _op(a.data[i].copy(), (a,), backward)
-
-
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Pick rows ``table[indices]``; backward scatter-adds into the table."""
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise DimensionError("gather_rows expects a 1-D integer index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(
-            f"gather index out of range for table with {table.shape[0]} rows"
-        )
-
-    def backward(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            table._accumulate(full)
-
-    return _op(table.data[idx].copy(), (table,), backward)
-
-
 def outer_scale_row(values: np.ndarray, w: Tensor, i: int) -> Tensor:
     """Tokens ``values[r] * w[i]`` for every r: output shape (len(values), d)."""
     vals = _as_f64(values).reshape(-1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from attention_oracle import concat_cols, masked_softmax, transpose2d
 from encoder_oracle import gelu, layer_norm
+from tokenizer_oracle import gather_rows, row
 from tokentab import autodiff
 from tokentab.autodiff import (
     DimensionError,
@@ -15,14 +16,12 @@ from tokentab.autodiff import (
     aggregate_tokens,
     attention,
     concat_rows,
-    gather_rows,
     linear_forward,
     matmul,
     mul,
     mul_scalar,
     no_grad,
     outer_scale_row,
-    row,
     slice_cols,
     slice_rows,
     softmax_cross_entropy,

@@ -2,7 +2,8 @@
 
 Wall time on a shared machine is too noisy to gate on, so each budget is a
 quantity a change of design moves and noise does not: the number of graph
-nodes one training step traverses, or the peak of ``tracemalloc``.
+nodes one training step traverses, the peak of ``tracemalloc``, or whether
+a step calls a slow primitive at all.
 """
 
 import tracemalloc
@@ -10,14 +11,17 @@ import tracemalloc
 import numpy as np
 
 from test_model import random_batch, small_model
+from tokentab.autodiff import sum_all
 from tokentab.data import RawDataset, encode, fit_schema
 from tokentab.model import ModelConfig
+from tokentab.optim import Adam
 from tokentab.prior import (
     PriorConfig,
     _episode_loss,
     _seeded_episode,
     build_pretraining_model,
 )
+from tokentab.tokenizer import NAN_ROW, FeatureTokenizer
 from tokentab.training import (
     FinetuneConfig,
     build_finetune_model,
@@ -39,8 +43,9 @@ def test_pretrain_step_traverses_at_most_70_nodes():
     assert len(tape.nodes) <= 70
 
 
-def test_wide_finetune_step_traverses_at_most_75_nodes():
-    """One fine-tune step on 2 numerical + 30 categorical columns."""
+def wide_finetune_step():
+    """A fine-tune model, config and seeded episode on 2 numerical + 30
+    categorical columns of 8 values."""
     rng = np.random.default_rng(5)
     vocab = [f"v{k}" for k in range(8)]
     cells = [[float(x) for x in rng.normal(size=2)]
@@ -56,8 +61,62 @@ def test_wide_finetune_step_traverses_at_most_75_nodes():
     model = build_finetune_model(backbone, schema, 2, cfg)
     batch = sample_episode(encode(raw, schema, stats),
                            np.random.default_rng(0), cfg.support_fraction)
+    return model, cfg, batch
+
+
+def test_wide_finetune_step_traverses_at_most_75_nodes():
+    """One fine-tune step on 2 numerical + 30 categorical columns."""
+    model, cfg, batch = wide_finetune_step()
     tape = total_loss(batch, model, cfg).backward()
     assert len(tape.nodes) <= 75
+
+
+class _AddWithoutScatter:
+    """``np.add`` whose ``at`` (an unbuffered scatter) raises."""
+
+    def __init__(self, add):
+        self._add = add
+
+    def __call__(self, *args, **kwargs):
+        return self._add(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._add, name)
+
+    def at(self, *args, **kwargs):
+        raise AssertionError("np.add.at on the training path")
+
+
+def test_wide_finetune_step_runs_no_scatter_add(monkeypatch):
+    """The token-table gradient is a product, not ``np.add.at``."""
+    model, cfg, batch = wide_finetune_step()
+    monkeypatch.setattr(np, "add", _AddWithoutScatter(np.add))
+    opt = Adam([t for _, t in model.named_tensors()], lr=cfg.lr)
+    total_loss(batch, model, cfg).backward()
+    opt.step()
+    assert model.tokenizer.table.weights.grad[1:].any()
+
+
+def test_table_backward_peak_memory_at_50_columns_of_1000_values_under_64_mib():
+    """One table gradient over 240 rows at d 64: the gradient and its
+    accumulated copy are 24 MiB each and the one-hot over the touched rows
+    about 15 MiB, where a one-hot over every table row alone is 92 MiB."""
+    rng = np.random.default_rng(50)
+    tok = FeatureTokenizer.create(0, (1000,) * 50, 64, rng)
+    cat = np.column_stack([
+        np.where(rng.random(240) < 0.3, NAN_ROW,
+                 offset + rng.integers(0, 1000, size=240))
+        for offset in tok.table.offsets])
+    e = tok.embed_rows(np.zeros((240, 0)), cat)
+    loss = sum_all(e)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tok.table.weights.grad is not None
+    assert peak < 64 * 2**20
 
 
 def test_predict_proba_peak_memory_at_1000_plus_1000_rows_under_18_mib():

@@ -1,4 +1,5 @@
-"""Exit codes of ``main()`` on damaged inputs: CSV contents and huge weights.
+"""Exit codes of ``main()`` on damaged inputs: CSV contents, huge weights,
+well-formed categorical tables and a non-finite token-table gradient.
 
 Every input maps to 0 (ok), 1 (usage), 2 (data) or 3 (numeric), with a
 message naming where it went wrong, and never to a traceback or a numpy
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import make_mixed_dataset, write_dataset_csv
 
+from tokentab.autodiff import _op
 from tokentab.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from tokentab.tokenizer import FeatureTokenizer
 
 EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}
 HEADER = "x0,x1,c0,c1,label"
@@ -160,3 +163,78 @@ def test_huge_encoder_weight_is_numeric_error_without_warnings(
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "encoder layer 0 feed-forward" in err and "RuntimeWarning" not in err
+
+
+def write_categorical_table(dir_path, name, rng, vocab_sizes, rows, blank,
+                            unseen=0):
+    """A well-formed all-categorical CSV and its descriptor; returns the
+    descriptor. Column j draws from ``vocab_sizes[j]`` values plus ``unseen``
+    values no other table has; labels are 0/1 with both present."""
+    columns = [f"c{j}" for j in range(len(vocab_sizes))]
+    lines = [",".join(columns + ["label"])]
+    labels = rng.integers(0, 2, size=rows)
+    labels[:2] = (0, 1)
+    for label in labels:
+        cells = []
+        for size in vocab_sizes:
+            k = int(rng.integers(0, size + unseen))
+            cells.append("" if rng.random() < blank
+                         else f"v{k}" if k < size else f"new{k}")
+        lines.append(",".join(cells + [str(label)]))
+    (dir_path / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    descriptor = dir_path / f"{name}.descriptor"
+    descriptor.write_text(f"csv = {name}.csv\ntarget = label\n"
+                          f"categorical = {','.join(columns)}\n", encoding="utf-8")
+    return descriptor
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 30),
+       blank=st.sampled_from([0.0, 0.1, 0.5]))
+def test_fuzzed_categorical_tables_train_and_evaluate_with_a_code(
+        checkpoints, tmp_path, capsys, seed, columns, blank):
+    """Well-formed tables reach fine-tuning, so the token table's backward
+    runs; the fine-tuned checkpoint then meets categories it never saw.
+    Row counts come from the seed: drawn by Hypothesis, most would sit at
+    the 2-row boundary, which stops before training."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(2, 301))
+    sizes = [int(s) for s in rng.integers(1, 13, size=columns)]
+    train = write_categorical_table(tmp_path, "train", rng, sizes, rows, blank)
+    out = tmp_path / "ft"
+    code = finetune(checkpoints[0], train, out)
+    assert code in EXIT_CODES
+    if code == EXIT_OK:
+        unseen = write_categorical_table(tmp_path, "unseen", rng, sizes, 40,
+                                         blank, unseen=3)
+        assert evaluate(out / "checkpoint_full_seed0.ckpt", unseen) in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_finite_table_gradient_is_numeric_error_without_warnings(
+        checkpoints, tmp_path, capsys, monkeypatch):
+    """An ``inf`` in the embeddings' upstream gradient stops fine-tuning at
+    the token table (exit 3) before Adam turns it into NaN parameters."""
+    embed_rows = FeatureTokenizer.embed_rows
+
+    def embed_rows_with_inf_gradient(self, num, cat):
+        e = embed_rows(self, num, cat)
+
+        def backward(g):
+            g = g.copy()
+            g[0, 0] = np.inf
+            e._accumulate(g)
+
+        return _op(e.data.copy(), (e,), backward)
+
+    monkeypatch.setattr(FeatureTokenizer, "embed_rows", embed_rows_with_inf_gradient)
+    descriptor = write_csv(tmp_path, mixed_csv_text().encode("utf-8"))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert finetune(checkpoints[0], descriptor, tmp_path / "ft") == EXIT_NUMERIC
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "tokenizer.table: non-finite gradient" in err and "Warning" not in err

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tokenizer_oracle import (
     embed_query,
     embed_rows_chain,
+    table_gradient_scatter,
     tokenize_categorical,
     tokenize_numerical,
 )
 
-from tokentab.autodiff import NumericError, Tensor, add, sum_all, mul
+from tokentab.autodiff import NumericError, Tensor, _op, add, sum_all, mul
 from tokentab.gradcheck import grad_check
 from tokentab.tokenizer import (
+    NAN_ROW,
     CategoricalTokenTable,
     Column,
     FeatureSchema,
@@ -353,14 +355,16 @@ class TestTokenTable:
 # the fused embed_rows op against the per-column chain it replaced
 # ---------------------------------------------------------------------------
 
-# name: (numerical columns, vocabulary sizes, identifiers, trainable w_num, rows)
+# name: (numerical columns, vocabulary sizes, identifiers, trainable w_num,
+#        rows, d)
 FUSED_CASES = {
-    "numerical_only": (3, (), True, True, 6),
-    "categorical_only": (0, (3, 2, 4), True, True, 6),
-    "both": (2, (3, 2), True, True, 7),
-    "no_identifiers": (2, (3, 2), False, True, 7),
-    "frozen_w_num": (2, (3, 2), True, False, 7),
-    "one_row": (2, (3, 2), True, True, 1),
+    "numerical_only": (3, (), True, True, 6, 5),
+    "categorical_only": (0, (3, 2, 4), True, True, 6, 5),
+    "both": (2, (3, 2), True, True, 7, 5),
+    "no_identifiers": (2, (3, 2), False, True, 7, 5),
+    "frozen_w_num": (2, (3, 2), True, False, 7, 5),
+    "one_row": (2, (3, 2), True, True, 1, 5),
+    "wide": (2, (8,) * 30, True, True, 240, 64),   # the finetune-wide shape
 }
 
 
@@ -370,8 +374,8 @@ def fused_case(name, seed=0):
     Categorical indices repeat, and about a third are row 0 (missing or
     unseen), so the reserved row is shared by every column.
     """
-    n, sizes, use_ids, train_num, rows = FUSED_CASES[name]
-    tok = FeatureTokenizer.create(n, sizes, 5, np.random.default_rng(seed),
+    n, sizes, use_ids, train_num, rows, dim = FUSED_CASES[name]
+    tok = FeatureTokenizer.create(n, sizes, dim, np.random.default_rng(seed),
                                   use_identifiers=use_ids,
                                   train_numerical=train_num)
     rng = np.random.default_rng(seed + 1)
@@ -397,7 +401,7 @@ def run_two_calls(tok, batches, embed):
     (num_a, cat_a), (num_b, cat_b) = batches
     a = embed(tok, num_a, cat_a)
     b = embed(tok, num_b, cat_b)
-    weights = Tensor(num_b.sum(axis=1)[:, None] + np.arange(5.0))
+    weights = Tensor(num_b.sum(axis=1)[:, None] + np.arange(float(tok.dim)))
     loss = add(sum_all(mul(a, a)), sum_all(mul(b, weights)))
     if tok.identifiers is not None and tok.identifiers.shape[0] > 1:
         loss = add(orthogonal_loss(tok.identifiers), loss)
@@ -491,3 +495,89 @@ class TestFusedEmbedRows:
             tok.embed_rows(num, cat)
         with pytest.raises(error):
             embed_rows_chain(tok, num, cat)
+
+
+def table_batch(seed, dim, sizes, rows, nan_share=0.3):
+    """A tokenizer plus a categorical batch over its columns and an upstream
+    gradient; about ``nan_share`` of the cells are ``NAN_ROW``."""
+    rng = np.random.default_rng(seed)
+    tok = FeatureTokenizer.create(0, sizes, dim, rng)
+    cols = [np.where(rng.random(rows) < nan_share, NAN_ROW,
+                     offset + rng.integers(0, size, size=rows))
+            for offset, size in zip(tok.table.offsets, sizes)]
+    cat = np.column_stack(cols).astype(np.intp)
+    return tok, cat, rng.standard_normal((rows, dim))
+
+
+def table_gradient_of_op(tok, cat, g):
+    """The table gradient ``embed_rows`` accumulates for upstream ``g``."""
+    e = tok.embed_rows(np.zeros((cat.shape[0], 0)), cat)
+    sum_all(mul(e, Tensor(g))).backward()   # e receives 1.0 * g: exactly g
+    return tok.table.weights.grad
+
+
+def touched_rows(cat):
+    return np.setdiff1d(cat, [NAN_ROW])
+
+
+def assert_within_1e_12_of_the_scatter(tok, cat, g):
+    """Element-wise within 1e-12 of the sum of |terms|; exact zeros on
+    ``NAN_ROW`` and every untouched row."""
+    table_rows = tok.table.weights.shape[0]
+    got = table_gradient_of_op(tok, cat, g)
+    ref = table_gradient_scatter(table_rows, cat.T, g)
+    scale = table_gradient_scatter(table_rows, cat.T, np.abs(g))
+    assert (np.abs(got - ref) <= 1e-12 * scale).all()
+    untouched = np.setdiff1d(np.arange(table_rows), touched_rows(cat))
+    assert NAN_ROW in untouched and not got[untouched].any()
+
+
+class TestTableGradientProduct:
+    """The table gradient is one product over the touched rows; the
+    scatter-add it replaced is the reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([5, 8, 16, 64]),
+           sizes=st.lists(st.integers(2, 1000), min_size=1, max_size=30),
+           rows=st.integers(1, 256))
+    def test_bit_identical_to_the_scatter_up_to_256_rows(self, seed, dim,
+                                                         sizes, rows):
+        tok, cat, g = table_batch(seed, dim, sizes, rows)
+        assume(touched_rows(cat).size >= 2)
+        ref = table_gradient_scatter(tok.table.weights.shape[0], cat.T, g)
+        assert np.array_equal(table_gradient_of_op(tok, cat, g), ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dim=st.sampled_from([1, 2, 3, 5, 8, 64]),
+           sizes=st.lists(st.integers(1, 1000), min_size=1, max_size=30),
+           rows=st.integers(1, 2000), nan_share=st.sampled_from([0.0, 0.3, 0.9]))
+    def test_within_1e_12_of_the_scatter_at_any_shape(self, seed, dim, sizes,
+                                                      rows, nan_share):
+        tok, cat, g = table_batch(seed, dim, sizes, rows, nan_share)
+        assert_within_1e_12_of_the_scatter(tok, cat, g)
+
+    def test_one_touched_row(self):
+        tok, cat, g = table_batch(0, 2, (3,), 300, nan_share=0.0)
+        cat[:] = tok.table.offsets[0] + 1
+        assert_within_1e_12_of_the_scatter(tok, cat, g)
+
+    def test_a_repeated_cell_counts_twice(self):
+        """Two columns of one batch row reading one table row is not a
+        well-formed batch, but its gradient still adds both reads."""
+        tok, _, g = table_batch(0, 5, (3, 3), 4)
+        cat = np.full((4, 2), 2, dtype=np.intp)
+        got = table_gradient_of_op(tok, cat, g)
+        assert np.allclose(got[2], 2.0 * g.sum(axis=0), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_upstream_gradient_names_the_table(self, bad):
+        tok, cat, g = table_batch(0, 5, (3, 4), 6)
+        e = tok.embed_rows(np.zeros((6, 0)), cat)
+        g[2, 1] = bad
+
+        def backward(_):
+            e._accumulate(g)
+
+        with pytest.raises(NumericError, match="tokenizer.table"):
+            sum_all(_op(e.data.copy(), (e,), backward)).backward()

@@ -10,7 +10,11 @@ oracle only.
 
 ``tokenize_numerical``, ``tokenize_categorical``, ``embed_query`` and
 ``embed_support`` build one token or one row embedding at a time from raw
-values.
+values. ``row`` and ``gather_rows`` are the generic ops both paths use.
+
+``table_gradient_scatter`` is the token-table gradient ``embed_rows``
+computed before it became one product: ``np.add.at`` over the indices,
+column by column and each in batch-row order.
 
 Both paths read the missing-value row 0 of the token table like any other
 row and send gradient into it. ``embed_rows`` treats that row as a constant
@@ -23,21 +27,64 @@ from __future__ import annotations
 import numpy as np
 
 from tokentab.autodiff import (
+    DimensionError,
     NumericError,
     Tensor,
+    _op,
     add,
     aggregate_tokens,
-    gather_rows,
     mul_scalar,
     outer_scale_row,
-    row,
 )
 from tokentab.tokenizer import (
+    NAN_ROW,
     FeatureSchema,
     FeatureTokenizer,
     SchemaError,
     map_category,
 )
+
+
+def row(a: Tensor, i: int) -> Tensor:
+    if a.data.ndim != 2:
+        raise DimensionError(f"row() on shape {a.shape}")
+    if not 0 <= i < a.shape[0]:
+        raise IndexError(f"row {i} out of range for {a.shape[0]} rows")
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[i] = g
+        a._accumulate(full)
+
+    return _op(a.data[i].copy(), (a,), backward)
+
+
+def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
+    """Pick rows ``table[indices]``; backward scatter-adds into the table."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise DimensionError("gather_rows expects a 1-D integer index array")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise IndexError(
+            f"gather index out of range for table with {table.shape[0]} rows"
+        )
+
+    def backward(g):
+        if table.requires_grad:
+            full = np.zeros_like(table.data)
+            np.add.at(full, idx, g)
+            table._accumulate(full)
+
+    return _op(table.data[idx].copy(), (table,), backward)
+
+
+def table_gradient_scatter(table_rows: int, idx: np.ndarray,
+                           g: np.ndarray) -> np.ndarray:
+    """``embed_rows``' table gradient by scatter-add over ``idx`` (m, rows)."""
+    full = np.zeros((table_rows, g.shape[1]))
+    np.add.at(full, idx, g)
+    full[NAN_ROW] = 0.0
+    return full
 
 
 def feature_tokens(tok: FeatureTokenizer, num: np.ndarray,
