@@ -23,6 +23,19 @@ CATEGORICAL = "categorical"
 #: index of the reserved token-table row for missing / unseen categories
 NAN_ROW = 0
 
+#: a token-table row gets its gradient from a matrix product when at least
+#: one batch row in this many reads it, and from a sequential sum over its
+#: reads otherwise. The product then does at most this many times the
+#: sum's adds, and its one-hot holds at most this many doubles per batch
+#: cell; near this share the two take about the same time
+#: (``scripts/table_gradient_timing.py``)
+PRODUCT_SHARE = 64
+
+#: the sequential sum bins a block of coordinates at a time, so that the
+#: bins and their terms hold at most this many entries each (one
+#: coordinate at a time when the reads alone are more)
+SUM_BLOCK = 1 << 14
+
 #: stand-in denominator for zero-norm identifier rows (removes the
 #: normalization singularity; nonzero rows divide by their exact norm)
 NORM_EPS = 1e-12
@@ -270,32 +283,53 @@ def _table_gradient(table_rows: int, idx: np.ndarray, g: np.ndarray) -> np.ndarr
     """Token-table gradient of one ``embed_rows`` call: (table_rows, d).
 
     Row t sums ``g[r]`` over every (column j, batch row r) with
-    ``idx[j, r] == t``, computed as one product ``onehot @ g`` over the rows
-    the batch touches, where ``onehot[t, r]`` counts those hits. The
-    constant ``NAN_ROW`` token and untouched rows get exact zeros.
+    ``idx[j, r] == t``. A row read by at least one batch row in
+    ``PRODUCT_SHARE`` gets its sum from one product ``onehot @ g``, where
+    ``onehot[t, r]`` counts those reads; it spends ``rows`` multiply-adds
+    per coordinate on the row, so at most ``PRODUCT_SHARE`` times the terms
+    it sums. Every other row gets its sum from ``np.bincount``, a block of
+    coordinates at a time, which adds each row's terms in batch-row order,
+    as the scatter-add this replaced did. The constant ``NAN_ROW`` token and
+    untouched rows get exact zeros.
 
-    BLAS associates the sum, not batch-row order. That is bit for bit the
-    batch-row order on batches of up to 256 rows with d >= 5 and at least
-    two touched rows; elsewhere the two may differ in the last bits. A
-    non-finite ``g`` is refused, since ``0 * inf`` would spread a NaN to
-    every touched row.
+    BLAS associates the product's sums. With OpenBLAS 0.3.31 (SkylakeX
+    kernel) that is the batch-row order on batches of up to 256 rows with
+    d >= 5, unless exactly one row goes into the product; elsewhere the two
+    may differ in the last bits. A non-finite ``g`` is refused, since it
+    would reach Adam without a warning.
     """
     if not np.isfinite(g).all():
         raise NumericError("tokenizer.table: non-finite gradient")
-    rows = g.shape[0]
-    hit = np.zeros(table_rows, dtype=bool)
-    hit[idx] = True
-    hit[NAN_ROW] = False
-    touched = np.flatnonzero(hit)
-    position = np.cumsum(hit) - 1      # of each touched row within ``touched``
-    col, r = np.nonzero(idx != NAN_ROW)
-    cells = position[idx[col, r]] * rows + r
+    rows, d = g.shape
+    reads = np.bincount(idx.ravel(), minlength=table_rows)
+    reads[NAN_ROW] = 0
+    in_product = reads * PRODUCT_SHARE >= max(rows, 1)
+    full = np.zeros((table_rows, d))
     # bincount adds a repeated (row, batch row) cell, which a well-formed
     # batch never has: rows >= 1 each belong to one column
-    onehot = np.bincount(cells, np.ones(cells.size), touched.size * rows)
-    full = np.zeros((table_rows, g.shape[1]))
+    touched, at, r = _reads_of(in_product, idx)
+    onehot = np.bincount(at * rows + r, np.ones(r.size), touched.size * rows)
     full[touched] = onehot.reshape(touched.size, rows) @ g
+    touched, at, r = _reads_of((reads > 0) & ~in_product, idx)
+    if r.size:
+        sums = np.empty((d, touched.size))
+        width = max(1, min(d, SUM_BLOCK // r.size))
+        for k in range(0, d, width):
+            terms = g.T[k:k + width, r]
+            w = terms.shape[0]
+            bins = (np.arange(w) * touched.size)[:, None] + at
+            sums[k:k + w] = np.bincount(bins.ravel(), terms.ravel(),
+                                        w * touched.size).reshape(w, -1)
+        full[touched] = sums.T
     return full
+
+
+def _reads_of(rows: np.ndarray, idx: np.ndarray):
+    """The table rows marked in ``rows``, and for each read of one of them
+    (column by column, each in batch-row order) the row's position among
+    them and the batch row that reads it."""
+    col, r = np.nonzero(rows[idx])
+    return np.flatnonzero(rows), (np.cumsum(rows) - 1)[idx[col, r]], r
 
 
 # ---------------------------------------------------------------------------

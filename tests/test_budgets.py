@@ -88,7 +88,8 @@ class _AddWithoutScatter:
 
 
 def test_wide_finetune_step_runs_no_scatter_add(monkeypatch):
-    """The token-table gradient is a product, not ``np.add.at``."""
+    """The token-table gradient is a product and a sequential sum, not
+    ``np.add.at``."""
     model, cfg, batch = wide_finetune_step()
     monkeypatch.setattr(np, "add", _AddWithoutScatter(np.add))
     opt = Adam([t for _, t in model.named_tensors()], lr=cfg.lr)
@@ -97,17 +98,16 @@ def test_wide_finetune_step_runs_no_scatter_add(monkeypatch):
     assert model.tokenizer.table.weights.grad[1:].any()
 
 
-def test_table_backward_peak_memory_at_50_columns_of_1000_values_under_64_mib():
-    """One table gradient over 240 rows at d 64: the gradient and its
-    accumulated copy are 24 MiB each and the one-hot over the touched rows
-    about 15 MiB, where a one-hot over every table row alone is 92 MiB."""
-    rng = np.random.default_rng(50)
-    tok = FeatureTokenizer.create(0, (1000,) * 50, 64, rng)
+def table_backward_peak(columns, values, rows, seed):
+    """``tracemalloc`` peak of one table backward at d 64, with 30% of the
+    cells missing, and the tokenizer it ran on."""
+    rng = np.random.default_rng(seed)
+    tok = FeatureTokenizer.create(0, (values,) * columns, 64, rng)
     cat = np.column_stack([
-        np.where(rng.random(240) < 0.3, NAN_ROW,
-                 offset + rng.integers(0, 1000, size=240))
+        np.where(rng.random(rows) < 0.3, NAN_ROW,
+                 offset + rng.integers(0, values, size=rows))
         for offset in tok.table.offsets])
-    e = tok.embed_rows(np.zeros((240, 0)), cat)
+    e = tok.embed_rows(np.zeros((rows, 0)), cat)
     loss = sum_all(e)
     tracemalloc.start()
     try:
@@ -116,7 +116,24 @@ def test_table_backward_peak_memory_at_50_columns_of_1000_values_under_64_mib():
     finally:
         tracemalloc.stop()
     assert tok.table.weights.grad is not None
+    return peak, tok
+
+
+def test_table_backward_peak_memory_at_50_columns_of_1000_values_under_64_mib():
+    """One table gradient over 240 rows at d 64: the gradient and its
+    accumulated copy are 24 MiB each, where a one-hot over every table row
+    alone is 92 MiB."""
+    peak, _ = table_backward_peak(50, 1000, 240, seed=50)
     assert peak < 64 * 2**20
+
+
+def test_table_backward_peak_memory_at_2000_rows_is_two_gradients():
+    """2000 rows of 30 columns of 1000 values, about 750 touched rows per
+    column: the gradient and its accumulated copy (15 MiB each) plus at
+    most 4 MiB, as with the scatter-add. A one-hot over the touched rows
+    would be about 400 MiB."""
+    peak, tok = table_backward_peak(30, 1000, 2000, seed=30)
+    assert peak < 2 * tok.table.weights.data.nbytes + 4 * 2**20
 
 
 def test_predict_proba_peak_memory_at_1000_plus_1000_rows_under_18_mib():

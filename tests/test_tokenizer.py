@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tokenizer_oracle import (
     embed_query,
     embed_rows_chain,
+    on_recorded_blas,
     table_gradient_scatter,
     tokenize_categorical,
     tokenize_numerical,
@@ -15,6 +16,7 @@ from tokentab.autodiff import NumericError, Tensor, _op, add, sum_all, mul
 from tokentab.gradcheck import grad_check
 from tokentab.tokenizer import (
     NAN_ROW,
+    PRODUCT_SHARE,
     CategoricalTokenTable,
     Column,
     FeatureSchema,
@@ -426,8 +428,14 @@ class TestFusedEmbedRows:
         assert (t_f is None) == (t_c is None)
         if t_c is not None:
             # rows >= 1 belong to one column each; row 0 is a constant zero
-            # token for the fused op, while the chain still reads it
-            assert np.array_equal(t_f[1:], t_c[1:])
+            # token for the fused op, while the chain still reads it. The
+            # table gradient's product sums in the chain's order on the
+            # recorded BLAS only.
+            if on_recorded_blas():
+                assert np.array_equal(t_f[1:], t_c[1:])
+            else:
+                assert np.allclose(t_f[1:], t_c[1:], rtol=1e-12,
+                                   atol=1e-12 * np.abs(t_c).max())
             assert not t_f[0].any()
 
     def test_frozen_w_num_gets_no_gradient(self):
@@ -520,6 +528,14 @@ def touched_rows(cat):
     return np.setdiff1d(cat, [NAN_ROW])
 
 
+def product_rows(cat):
+    """The table rows whose gradient comes from the product: read by at
+    least one batch row in ``PRODUCT_SHARE``."""
+    reads = np.bincount(cat.ravel())
+    reads[NAN_ROW] = 0
+    return np.flatnonzero((reads > 0) & (reads * PRODUCT_SHARE >= cat.shape[0]))
+
+
 def assert_within_1e_12_of_the_scatter(tok, cat, g):
     """Element-wise within 1e-12 of the sum of |terms|; exact zeros on
     ``NAN_ROW`` and every untouched row."""
@@ -532,9 +548,10 @@ def assert_within_1e_12_of_the_scatter(tok, cat, g):
     assert NAN_ROW in untouched and not got[untouched].any()
 
 
-class TestTableGradientProduct:
-    """The table gradient is one product over the touched rows; the
-    scatter-add it replaced is the reference."""
+class TestTableGradient:
+    """Rows read by many batch rows get their gradient from one product,
+    the others from a sequential sum; the scatter-add both replaced is the
+    reference."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([5, 8, 16, 64]),
@@ -542,10 +559,31 @@ class TestTableGradientProduct:
            rows=st.integers(1, 256))
     def test_bit_identical_to_the_scatter_up_to_256_rows(self, seed, dim,
                                                          sizes, rows):
+        """Holds for the BLAS the product was checked on: its sums follow
+        batch-row order up to 256 rows at d >= 5 unless the product has
+        exactly one row (numpy's gemv path). Elsewhere the 1e-12 bound
+        below is the check."""
+        if not on_recorded_blas():
+            pytest.skip("bit-exact products recorded for OpenBLAS 0.3.31 only")
         tok, cat, g = table_batch(seed, dim, sizes, rows)
-        assume(touched_rows(cat).size >= 2)
+        assume(product_rows(cat).size != 1)
         ref = table_gradient_scatter(tok.table.weights.shape[0], cat.T, g)
         assert np.array_equal(table_gradient_of_op(tok, cat, g), ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dim=st.sampled_from([1, 2, 3, 5, 8, 64]),
+           sizes=st.lists(st.integers(1, 1000), min_size=1, max_size=30),
+           rows=st.integers(1, 2000), nan_share=st.sampled_from([0.0, 0.3, 0.9]))
+    def test_rows_outside_the_product_are_bit_identical_at_any_shape(
+            self, seed, dim, sizes, rows, nan_share):
+        """The sequential sum needs no BLAS: exact on every shape."""
+        tok, cat, g = table_batch(seed, dim, sizes, rows, nan_share)
+        table_rows = tok.table.weights.shape[0]
+        summed = np.setdiff1d(np.arange(table_rows), product_rows(cat))
+        got = table_gradient_of_op(tok, cat, g)
+        ref = table_gradient_scatter(table_rows, cat.T, g)
+        assert np.array_equal(got[summed], ref[summed])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -556,6 +594,19 @@ class TestTableGradientProduct:
                                                       rows, nan_share):
         tok, cat, g = table_batch(seed, dim, sizes, rows, nan_share)
         assert_within_1e_12_of_the_scatter(tok, cat, g)
+
+    def test_one_column_splits_between_product_and_sum(self):
+        """Of 400 rows, 300 read three values and 100 read one value each:
+        the product takes the three, the sum the other 100."""
+        tok, _, g = table_batch(0, 8, (103,), 400, nan_share=0.0)
+        first = tok.table.offsets[0]
+        cat = first + np.concatenate([np.arange(300) % 3, 3 + np.arange(100)])
+        cat = cat[:, None].astype(np.intp)
+        assert product_rows(cat).tolist() == [first, first + 1, first + 2]
+        assert_within_1e_12_of_the_scatter(tok, cat, g)
+        got = tok.table.weights.grad
+        ref = table_gradient_scatter(tok.table.weights.shape[0], cat.T, g)
+        assert np.array_equal(got[first + 3:], ref[first + 3:])
 
     def test_one_touched_row(self):
         tok, cat, g = table_batch(0, 2, (3,), 300, nan_share=0.0)

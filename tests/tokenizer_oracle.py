@@ -13,8 +13,8 @@ oracle only.
 values. ``row`` and ``gather_rows`` are the generic ops both paths use.
 
 ``table_gradient_scatter`` is the token-table gradient ``embed_rows``
-computed before it became one product: ``np.add.at`` over the indices,
-column by column and each in batch-row order.
+computed before it became a product plus a sequential sum: ``np.add.at``
+over the indices, column by column and each in batch-row order.
 
 Both paths read the missing-value row 0 of the token table like any other
 row and send gradient into it. ``embed_rows`` treats that row as a constant
@@ -85,6 +85,24 @@ def table_gradient_scatter(table_rows: int, idx: np.ndarray,
     np.add.at(full, idx, g)
     full[NAN_ROW] = 0.0
     return full
+
+
+#: numpy's BLAS, as ``np.show_config`` names it, on which the table
+#: gradient's product was found to sum in batch-row order (OpenBLAS picks
+#: its kernel per CPU; this was SkylakeX)
+RECORDED_BLAS = ("scipy-openblas", "0.3.31")
+
+
+def on_recorded_blas() -> bool:
+    """Whether numpy runs on ``RECORDED_BLAS``; bit-exact checks of the
+    table gradient's product only hold there."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy before 1.25 has no mode
+        return False
+    name, version = RECORDED_BLAS
+    return (blas.get("name") == name
+            and str(blas.get("version", "")).startswith(version + "."))
 
 
 def feature_tokens(tok: FeatureTokenizer, num: np.ndarray,
