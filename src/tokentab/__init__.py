@@ -13,7 +13,6 @@ from .autodiff import (
     NumericError,
     Tensor,
     aggregate_tokens,
-    linear_forward,
     softmax_cross_entropy,
 )
 from .checkpoint import Checkpoint, load_checkpoint, rebuild_model, save_checkpoint

@@ -25,6 +25,18 @@ class NumericError(ArithmeticError):
     """A computation produced non-finite values."""
 
 
+@contextmanager
+def numeric_guard(block: str):
+    """Raise numpy overflow and invalid operations in the body as a
+    ``NumericError`` whose message starts with ``block``. Changes no
+    arithmetic."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{block}: {exc}") from None
+
+
 def _as_f64(data) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.float64)
 
@@ -137,7 +149,7 @@ def _op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / structural operations
+# elementwise operations
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -188,82 +200,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _op(np.asarray(a.data.sum()), (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _op(out_data, (a, b), backward)
-
-
-def linear_forward(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w with an optional bias row added to every output row."""
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
-
-
-def outer_scale_row(values: np.ndarray, w: Tensor, i: int) -> Tensor:
-    """Tokens ``values[r] * w[i]`` for every r: output shape (len(values), d)."""
-    vals = _as_f64(values).reshape(-1)
-    if not 0 <= i < w.shape[0]:
-        raise IndexError(f"row {i} out of range for {w.shape[0]} rows")
-
-    def backward(g):
-        if w.requires_grad:
-            full = np.zeros_like(w.data)
-            full[i] = vals @ g
-            w._accumulate(full)
-
-    return _op(vals[:, None] * w.data[i][None, :], (w,), backward)
-
-
-def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2 or not 0 <= lo <= hi <= a.shape[0]:
-        raise DimensionError(f"slice_rows({lo},{hi}) on shape {a.shape}")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[lo:hi] = g
-        a._accumulate(full)
-
-    return _op(a.data[lo:hi].copy(), (a,), backward)
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2 or not 0 <= lo <= hi <= a.shape[1]:
-        raise DimensionError(f"slice_cols({lo},{hi}) on shape {a.shape}")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, lo:hi] = g
-        a._accumulate(full)
-
-    return _op(np.ascontiguousarray(a.data[:, lo:hi]), (a,), backward)
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat_rows of nothing")
-    widths = {p.shape[1] for p in parts}
-    if any(p.data.ndim != 2 for p in parts) or len(widths) != 1:
-        raise DimensionError(f"concat_rows shapes {[p.shape for p in parts]}")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[lo:hi])
-
-    return _op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
-
-
 # ---------------------------------------------------------------------------
 # losses and attention
 # ---------------------------------------------------------------------------
@@ -271,7 +207,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-softmax of the labelled class, stabilized.
 
-    Gradient w.r.t. the logits is (softmax - onehot) / n.
+    Gradient w.r.t. the logits is (softmax - onehot) / n. Forward and
+    backward run under ``numeric_guard("loss")``.
     """
     y = np.asarray(labels)
     if logits.data.ndim != 2:
@@ -281,24 +218,29 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise DimensionError("labels must be a 1-D integer array matching rows")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise IndexError(f"label out of range [0,{c})")
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True))
-    losses = lse[:, 0] - logits.data[np.arange(n), y]
-    out_data = np.asarray(losses.mean())
+    with numeric_guard("loss"):
+        m = logits.data.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True))
+        losses = lse[:, 0] - logits.data[np.arange(n), y]
+        out_data = np.asarray(losses.mean())
 
     def backward(g):
-        p = np.exp(logits.data - lse)
-        p[np.arange(n), y] -= 1.0
-        logits._accumulate(g.item() * p / n)
+        with numeric_guard("loss"):
+            p = np.exp(logits.data - lse)
+            p[np.arange(n), y] -= 1.0
+            logits._accumulate(g.item() * p / n)
 
     return _op(out_data, (logits,), backward)
 
 
 def softmax_rows(data: np.ndarray) -> np.ndarray:
-    """Plain stable softmax on a 2-D array (no gradient)."""
-    shifted = data - data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Plain stable softmax on a 2-D array (no gradient), under
+    ``numeric_guard("softmax")``: logits more than the float range apart
+    are a ``NumericError``."""
+    with numeric_guard("softmax"):
+        shifted = data - data.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
 
 
 # Rows per attention block. Inference holds a (heads, block, S) score block,
@@ -397,29 +339,6 @@ def _attention_backward(g: np.ndarray, saved):
     return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
-    """Multi-head attention over n rows whose first ``s`` are supports.
-
-    Every row attends to all supports and each query also to itself, never
-    to another query. Head h uses column block h of the (n, d) projections.
-    Scores are a (heads, n, s) block plus one self score per query, never
-    an (n, n) matrix. Returns the per-head contexts side by side, (n, d).
-    """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    if heads < 1 or q.shape[1] % heads:
-        raise DimensionError(f"attention: {heads} heads, shape {q.shape}")
-    record = _recording and (q.requires_grad or k.requires_grad or v.requires_grad)
-    out, saved = _attention_forward(*(_split_heads(t.data, heads) for t in (q, k, v)),
-                                    s, record)
-
-    def backward(g):
-        for t, grad in zip((q, k, v), _attention_backward(g, saved)):
-            t._accumulate(grad)
-
-    return _op(out, (q, k, v), backward)
-
-
 # ---------------------------------------------------------------------------
 # the encoder layer
 # ---------------------------------------------------------------------------
@@ -495,7 +414,7 @@ def _gelu_backward(g, u, t):
 
 
 def _check_finite(a: np.ndarray) -> None:
-    """Raise as numpy's raised errors do, so one handler names the block."""
+    """Raise as numpy's raised errors do, so ``numeric_guard`` names the block."""
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite values")
 
@@ -529,56 +448,51 @@ def encoder_layer(x: Tensor, s: int, params, heads: int) -> Tensor:
                                       or bo.requires_grad)
     need_f = need_x1 or record and (g2.requires_grad or c2.requires_grad)
     saved = {}
-    block = "attention"
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            h, xhat, inv = _layer_norm(x.data, g1, c1)
-            if need_h:
-                saved["ln1"] = (xhat, inv)
-            if record and (wq.requires_grad or wk.requires_grad or wv.requires_grad):
-                saved["h"] = h
-            del xhat, inv
-            qh, kh, vh = (_split_heads(_affine(h, w, b), heads)
-                          for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-            del h
-            ctx, saved["attention"] = _attention_forward(qh, kh, vh, s, need_ctx)
-            del qh, kh, vh
-            x1 = ctx @ wo.data
-            x1 += bo.data
-            x1 += x.data
-            if record and wo.requires_grad:
-                saved["ctx"] = ctx
-            del ctx
-            _check_finite(x1)
-
-            block = "feed-forward"
-            f, xhat, inv = _layer_norm(x1, g2, c2)
-            if need_f:
-                saved["ln2"] = (xhat, inv)
-            del xhat, inv
-            u = _affine(f, w1, b1)
-            if record and w1.requires_grad:
-                saved["f"] = f
-            del f
-            t = u * u
-            t *= u
-            t *= 0.044715
-            t += u
-            t *= _GELU_C
-            np.tanh(t, out=t)
-            a = 0.5 * u
-            a *= 1.0 + t
-            if record:
-                saved["gelu"] = (u, t)
-            del u, t
-            out = _affine(a, w2, b2)
-            out += x1
-            if record and w2.requires_grad:
-                saved["a"] = a
-            del a, x1
-            _check_finite(out)
-    except FloatingPointError as exc:
-        raise NumericError(f"{block}: {exc}") from None
+    with numeric_guard("attention"):
+        h, xhat, inv = _layer_norm(x.data, g1, c1)
+        if need_h:
+            saved["ln1"] = (xhat, inv)
+        if record and (wq.requires_grad or wk.requires_grad or wv.requires_grad):
+            saved["h"] = h
+        del xhat, inv
+        qh, kh, vh = (_split_heads(_affine(h, w, b), heads)
+                      for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        del h
+        ctx, saved["attention"] = _attention_forward(qh, kh, vh, s, need_ctx)
+        del qh, kh, vh
+        x1 = ctx @ wo.data
+        x1 += bo.data
+        x1 += x.data
+        if record and wo.requires_grad:
+            saved["ctx"] = ctx
+        del ctx
+        _check_finite(x1)
+    with numeric_guard("feed-forward"):
+        f, xhat, inv = _layer_norm(x1, g2, c2)
+        if need_f:
+            saved["ln2"] = (xhat, inv)
+        del xhat, inv
+        u = _affine(f, w1, b1)
+        if record and w1.requires_grad:
+            saved["f"] = f
+        del f
+        t = u * u
+        t *= u
+        t *= 0.044715
+        t += u
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        a = 0.5 * u
+        a *= 1.0 + t
+        if record:
+            saved["gelu"] = (u, t)
+        del u, t
+        out = _affine(a, w2, b2)
+        out += x1
+        if record and w2.requires_grad:
+            saved["a"] = a
+        del a, x1
+        _check_finite(out)
 
     def backward(g):
         if b2.requires_grad:

@@ -78,13 +78,14 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
     Uses deliberately tiny dimensions so exhaustive central differences
     finish in seconds. Returns the max relative error per component.
     """
-    from .autodiff import add, mul, outer_scale_row, sum_all
+    from .autodiff import add, mul, sum_all
     from .model import (
         EncoderLayer,
         InContextClassifier,
         ModelConfig,
         SupportQueryBatch,
         encoder_forward,
+        episode_rows,
     )
     from .tokenizer import FeatureTokenizer, orthogonal_loss
     from .training import FinetuneConfig, total_loss
@@ -93,8 +94,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
     results: dict[str, float] = {}
 
     # token layer: squared embeddings plus the identifier penalty
-    tok = FeatureTokenizer.create(n=2, vocab_sizes=(2, 3), dim=embed_dim,
-                                  rng=rng, train_numerical=True)
+    tok = FeatureTokenizer.create(n=2, vocab_sizes=(2, 3), dim=embed_dim, rng=rng)
     num = rng.standard_normal((5, 2))
     cat = np.column_stack([rng.integers(0, 3, size=5),      # rows {0,1,2}
                            3 + rng.integers(0, 3, size=5)])  # rows {3,4,5}
@@ -119,21 +119,23 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
                         for _, t in layer.named_tensors("layer")]
     results["encoder"] = grad_check(encoder_target, enc_params, eps=eps)
 
-    # label embedder: squared support label tokens
+    # label embedder: squared encoder input of 3 labelled supports, 2 queries
     label_w = Tensor(rng.standard_normal((1, embed_dim)), requires_grad=True)
-    y_values = np.array([0.0, 1.0, 2.0])
+    support = Tensor(rng.standard_normal((3, embed_dim)), requires_grad=True)
+    query = Tensor(rng.standard_normal((2, embed_dim)), requires_grad=True)
+    y_values = np.array([0, 1, 2])
 
     def label_target():
-        e = outer_scale_row(y_values, label_w, 0)
+        e = episode_rows(support, query, y_values, label_w)
         return sum_all(mul(e, e))
 
-    results["label_embedder"] = grad_check(label_target, [label_w], eps=eps)
+    results["label_embedder"] = grad_check(label_target, [label_w, support, query],
+                                           eps=eps)
 
     # full episode loss with the orthogonality term active
     config = ModelConfig(embed_dim=embed_dim, layers=layers, heads=heads,
                          ff_dim=ff_dim, max_classes=max_classes)
-    tok2 = FeatureTokenizer.create(n=2, vocab_sizes=(2, 3), dim=embed_dim,
-                                   rng=rng, train_numerical=True)
+    tok2 = FeatureTokenizer.create(n=2, vocab_sizes=(2, 3), dim=embed_dim, rng=rng)
     model = InContextClassifier.create(config, tok2, rng)
     batch = SupportQueryBatch(
         support_num=rng.standard_normal((3, 2)),

@@ -18,14 +18,10 @@ from .autodiff import (
     DimensionError,
     NumericError,
     Tensor,
-    add,
-    concat_rows,
+    _op,
     encoder_layer,
-    linear_forward,
     no_grad,
-    outer_scale_row,
-    slice_cols,
-    slice_rows,
+    numeric_guard,
     softmax_rows,
 )
 from .tokenizer import CategoricalTokenTable, FeatureTokenizer
@@ -155,6 +151,63 @@ class EncoderLayer:
         return encoder_layer(x, s, vars(self), self.heads)   # vars: the 16 tensors
 
 
+def episode_rows(support: Tensor, query: Tensor, support_y: np.ndarray,
+                 label_w: Tensor) -> Tensor:
+    """The encoder input: support rows plus ``support_y[r] * label_w[0]``,
+    then the query rows under them, (s + q, d).
+
+    One graph node, with the arithmetic of the chain it replaced (the label
+    token, its add, the row concatenation), so the forward and every
+    gradient are bit-identical to that chain. The parents are ordered
+    (support, query, label_w): the reversed tape then runs the query
+    tokenizer's backward before the support's, as the chain's did, which
+    fixes the order of each tokenizer parameter's gradient sum.
+    """
+    y = np.asarray(support_y, dtype=np.float64)
+    s = support.shape[0]
+    out = np.concatenate([support.data + y[:, None] * label_w.data[0], query.data])
+
+    def backward(g):
+        support._accumulate(g[:s])
+        query._accumulate(g[s:])
+        if label_w.requires_grad:
+            label_w._accumulate((y @ g[:s])[None, :])
+
+    return _op(out, (support, query, label_w), backward)
+
+
+def query_logits(h: Tensor, s: int, head_w: Tensor, head_b: Tensor,
+                 n_classes: int) -> Tensor:
+    """Class logits of the query rows ``h[s:]``: their first ``n_classes``
+    columns of ``h[s:] @ head_w + head_b``.
+
+    One graph node with the arithmetic of the chain it replaced (row slice,
+    product, bias, column slice): its backward pads the gradient to every
+    head column, as that chain did, so the result is bit-identical to it.
+    Forward and backward run under ``numeric_guard("head")``.
+    """
+    queries = h.data[s:].copy()
+    with numeric_guard("head"):
+        full = queries @ head_w.data
+        full += head_b.data
+
+    def backward(g):
+        padded = np.zeros_like(full)
+        padded[:, :n_classes] = g
+        with numeric_guard("head"):
+            if head_b.requires_grad:
+                head_b._accumulate(padded.sum(axis=0))
+            if head_w.requires_grad:
+                head_w._accumulate(queries.T @ padded)
+            if h.requires_grad:
+                dh = np.zeros_like(h.data)
+                dh[s:] = padded @ head_w.data.T
+                h._accumulate(dh)
+
+    return _op(np.ascontiguousarray(full[:, :n_classes]), (h, head_w, head_b),
+               backward)
+
+
 def encoder_forward(x: Tensor, s: int, layers) -> Tensor:
     """Run the stack over ``s`` supports then queries; empty is the identity."""
     for i, layer in enumerate(layers):
@@ -253,14 +306,6 @@ class InContextClassifier:
                 raise DimensionError(f"state shape mismatch for {name}")
             t.data[...] = state[name]
 
-    def forward_embeddings(self, batch: SupportQueryBatch) -> Tensor:
-        support = self.tokenizer.embed_rows(batch.support_num, batch.support_cat)
-        label_part = outer_scale_row(batch.support_y.astype(np.float64),
-                                     self.label_weights, 0)
-        support = add(support, label_part)
-        query = self.tokenizer.embed_rows(batch.query_num, batch.query_cat)
-        return concat_rows([support, query])
-
     def predict_logits(self, batch: SupportQueryBatch) -> Tensor:
         """Class logits for every query row, computed in one forward pass."""
         if batch.n_classes > self.config.max_classes:
@@ -268,13 +313,13 @@ class InContextClassifier:
                 f"episode has {batch.n_classes} classes, head supports "
                 f"{self.config.max_classes}"
             )
-        x = self.forward_embeddings(batch)
+        # no local names for the embeddings: without a graph they are freed
+        # as soon as episode_rows has stacked them
+        x = episode_rows(self.tokenizer.embed_rows(batch.support_num, batch.support_cat),
+                         self.tokenizer.embed_rows(batch.query_num, batch.query_cat),
+                         batch.support_y, self.label_weights)
         h = encoder_forward(x, batch.s, self.layers)
-        queries = slice_rows(h, batch.s, batch.s + batch.q)
-        logits = linear_forward(queries, self.head_w, self.head_b)
-        if batch.n_classes < self.config.max_classes:
-            logits = slice_cols(logits, 0, batch.n_classes)
-        return logits
+        return query_logits(h, batch.s, self.head_w, self.head_b, batch.n_classes)
 
     def predict_proba(self, batch: SupportQueryBatch) -> Tensor:
         """Row-wise softmax over the query logits, computed without a graph."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, numeric_guard
 
 
 class Adam:
@@ -38,16 +38,20 @@ class Adam:
             e["tensor"].grad = None
 
     def step(self) -> None:
+        """One update of every tensor with a gradient, under
+        ``numeric_guard("optimizer")``: a huge gradient stops training
+        instead of leaving an infinite moment behind."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for e in self._entries:
-            tensor = e["tensor"]
-            if tensor.grad is None:
-                continue
-            g = tensor.grad
-            e["m"] = self.beta1 * e["m"] + (1.0 - self.beta1) * g
-            e["v"] = self.beta2 * e["v"] + (1.0 - self.beta2) * g * g
-            mhat = e["m"] / c1
-            vhat = e["v"] / c2
-            tensor.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        with numeric_guard("optimizer"):
+            for e in self._entries:
+                tensor = e["tensor"]
+                if tensor.grad is None:
+                    continue
+                g = tensor.grad
+                e["m"] = self.beta1 * e["m"] + (1.0 - self.beta1) * g
+                e["v"] = self.beta2 * e["v"] + (1.0 - self.beta2) * g * g
+                mhat = e["m"] / c1
+                vhat = e["v"] / c2
+                tensor.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -204,8 +204,6 @@ def build_pretraining_model(cfg: PriorConfig, model_cfg: ModelConfig,
         vocab_sizes=cfg.table_sizes,
         dim=model_cfg.embed_dim,
         rng=rng,
-        use_identifiers=True,
-        train_numerical=True,  # the freeze applies downstream, not here
     )
     return InContextClassifier.create(model_cfg, tok, rng)
 

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor, _op
+from .autodiff import NumericError, Tensor, _op, numeric_guard
 
 NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
@@ -185,18 +185,16 @@ class FeatureTokenizer:
         return self.w_num.shape[1]
 
     @classmethod
-    def create(cls, n: int, vocab_sizes, dim: int, rng: np.random.Generator,
-               use_identifiers: bool = True, train_numerical: bool = True,
-               ) -> "FeatureTokenizer":
+    def create(cls, n: int, vocab_sizes, dim: int,
+               rng: np.random.Generator) -> "FeatureTokenizer":
+        """Every parameter trainable, identifiers included, drawn in the
+        order ``w_num``, table, identifiers."""
         sizes = tuple(int(s) for s in vocab_sizes)
         std = 1.0 / np.sqrt(dim)
-        w_num = Tensor(rng.normal(0.0, std, size=(n, dim)),
-                       requires_grad=train_numerical)
+        w_num = Tensor(rng.normal(0.0, std, size=(n, dim)), requires_grad=True)
         table = CategoricalTokenTable.create(sizes, dim, rng)
-        identifiers = None
-        if use_identifiers:
-            identifiers = Tensor(rng.normal(0.0, std, size=(len(sizes), dim)),
-                                 requires_grad=True)
+        identifiers = Tensor(rng.normal(0.0, std, size=(len(sizes), dim)),
+                             requires_grad=True)
         return cls(w_num, table, identifiers)
 
     def named_tensors(self):
@@ -216,7 +214,8 @@ class FeatureTokenizer:
         output nor receives gradient. The (features, rows, d) token stack
         is sorted per output coordinate before the sum, so the embedding
         depends only on the multiset of tokens: permuting feature columns
-        (together with their parameter rows) leaves it bit-identical.
+        (together with their parameter rows) leaves it bit-identical. The
+        tokens are built and summed under ``numeric_guard("tokenizer")``.
         """
         num = np.asarray(num, dtype=np.float64)
         cat = np.asarray(cat)
@@ -246,14 +245,15 @@ class FeatureTokenizer:
                 f"category index out of range for table with {table.shape[0]} rows"
             )
         tokens = np.empty((n_used + m_used, rows, self.dim))
-        np.multiply(num.T[:, :, None], w_num.data[:n_used, None, :],
-                    out=tokens[:n_used])
-        tokens[n_used:] = table.data[idx]
-        tokens[n_used:][idx == NAN_ROW] = 0.0
-        if ids is not None:
-            tokens[n_used:] += ids.data[:m_used, None, :]
-        tokens.sort(axis=0)
-        out_data = tokens.sum(axis=0)
+        with numeric_guard("tokenizer"):
+            np.multiply(num.T[:, :, None], w_num.data[:n_used, None, :],
+                        out=tokens[:n_used])
+            tokens[n_used:] = table.data[idx]
+            tokens[n_used:][idx == NAN_ROW] = 0.0
+            if ids is not None:
+                tokens[n_used:] += ids.data[:m_used, None, :]
+            tokens.sort(axis=0)
+            out_data = tokens.sum(axis=0)
         # parents are only the parameters this batch reads, so a table or
         # identifiers unused by a batch keep ``grad is None``
         parents = (w_num,) if n_used else ()

@@ -1,27 +1,49 @@
-"""Dense masked multi-head attention: the reference for the fused op.
+"""Support/query attention as one op, and the dense masked chain before it.
 
-This is the per-head chain the encoder used before ``autodiff.attention``:
-for each head, slice the q/k/v columns, form the full (n, n) score matrix,
-softmax it under the support/query permission mask, and lay the per-head
-contexts side by side. It costs O(n^2) per head and records about thirty
-graph nodes per layer, which is why it lives here as an oracle only.
+``attention`` is support/query attention as one op, as the layer chain in
+``encoder_oracle`` uses it. It runs the ``autodiff._attention_forward`` and
+``_attention_backward`` that ``autodiff.encoder_layer`` runs, so it checks
+them in isolation.
+
+``dense_attention`` is the per-head chain used before that: for each head,
+slice the q/k/v columns, form the full (n, n) score matrix, softmax it under
+the support/query permission mask, and lay the per-head contexts side by
+side. It costs O(n^2) per head and records about thirty graph nodes per
+layer, which is why it lives here as an oracle only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from encoder_oracle import gelu, layer_norm
-from tokentab.autodiff import (
-    DimensionError,
-    Tensor,
-    _op,
-    add,
-    linear_forward,
-    matmul,
-    mul_scalar,
-    slice_cols,
-)
+from chain_ops import gelu, layer_norm, linear_forward, matmul, slice_cols
+from tokentab import autodiff
+from tokentab.autodiff import DimensionError, Tensor, _op, add, mul_scalar
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:
+    """Multi-head attention over n rows whose first ``s`` are supports.
+
+    Every row attends to all supports and each query also to itself, never
+    to another query. Head h uses column block h of the (n, d) projections.
+    Scores are a (heads, n, s) block plus one self score per query, never
+    an (n, n) matrix. Returns the per-head contexts side by side, (n, d).
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    if heads < 1 or q.shape[1] % heads:
+        raise DimensionError(f"attention: {heads} heads, shape {q.shape}")
+    # read at call time: no_grad() rebinds the module global
+    record = autodiff._recording and (q.requires_grad or k.requires_grad
+                                      or v.requires_grad)
+    out, saved = autodiff._attention_forward(
+        *(autodiff._split_heads(t.data, heads) for t in (q, k, v)), s, record)
+
+    def backward(g):
+        for t, grad in zip((q, k, v), autodiff._attention_backward(g, saved)):
+            t._accumulate(grad)
+
+    return _op(out, (q, k, v), backward)
 
 
 def build_mask(s: int, q: int) -> np.ndarray:

@@ -1,29 +1,35 @@
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attention_oracle import concat_cols, masked_softmax, transpose2d
-from encoder_oracle import gelu, layer_norm
+from attention_oracle import attention, concat_cols, masked_softmax, transpose2d
+from chain_ops import (
+    concat_rows,
+    gelu,
+    layer_norm,
+    linear_forward,
+    matmul,
+    outer_scale_row,
+    slice_cols,
+    slice_rows,
+)
 from tokenizer_oracle import gather_rows, row
 from tokentab import autodiff
 from tokentab.autodiff import (
     DimensionError,
+    NumericError,
     Tensor,
     add,
     aggregate_tokens,
-    attention,
-    concat_rows,
-    linear_forward,
-    matmul,
     mul,
     mul_scalar,
     no_grad,
-    outer_scale_row,
-    slice_cols,
-    slice_rows,
     softmax_cross_entropy,
     softmax_rows,
     sum_all,
@@ -97,6 +103,13 @@ class TestSoftmaxCrossEntropy:
         p = softmax_rows(logits.data)
         p[np.arange(2), labels] -= 1.0
         assert np.allclose(logits.grad, p / 2.0, atol=1e-15)
+
+    def test_overflow_is_numeric_error_without_warnings(self):
+        logits = tensor([[1.7e308, 0.0], [1.7e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="^loss: overflow"):
+                softmax_cross_entropy(logits, np.array([1, 1]))
 
     @given(st.floats(min_value=10.0, max_value=1e4), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -388,6 +401,17 @@ class TestFreezing:
         assert frozen.grad is None
 
 
+class TestAdam:
+    def test_overflow_is_numeric_error_without_warnings(self):
+        w = tensor([1.0, 2.0])
+        opt = Adam([w])
+        w.grad = np.array([1e200, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="^optimizer: overflow"):
+                opt.step()
+
+
 class TestDeterminism:
     def _run_trajectory(self, seed):
         rng = np.random.default_rng(seed)
@@ -430,3 +454,25 @@ class TestTapeInvariants:
     def test_backward_requires_scalar(self):
         with pytest.raises(DimensionError):
             tensor([[1.0, 2.0]]).backward()
+
+
+def test_every_public_op_has_a_caller_in_another_package_module():
+    """The engine holds only the ops the package runs: each public function
+    of ``autodiff.py`` that records a node is called from another module of
+    the package. The reference chains live in ``tests/``."""
+    allowed = {"aggregate_tokens": "criterion 9"}
+    source = Path(autodiff.__file__)
+
+    def called_names(tree):
+        return {getattr(n.func, "id", getattr(n.func, "attr", None))
+                for n in ast.walk(tree) if isinstance(n, ast.Call)}
+
+    ops = {f.name for f in ast.parse(source.read_text(encoding="utf-8")).body
+           if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+           and "_op" in called_names(f)}
+    assert "encoder_layer" in ops and set(allowed) <= ops
+    called = set()
+    for path in source.parent.glob("*.py"):
+        if path != source:
+            called |= called_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(ops - called - set(allowed)) == []

@@ -30,17 +30,29 @@ from tokentab.training import (
 )
 
 
-def test_pretrain_step_traverses_at_most_70_nodes():
-    """One seeded pretraining episode of a 3-layer model.
-
-    Each encoder layer is one node over its input and 16 parameters.
-    """
+def pretrain_step_tape():
+    """The tape of one seeded pretraining episode of a 3-layer model."""
     cfg = PriorConfig(seed=0)
     model = build_pretraining_model(
         cfg, ModelConfig(embed_dim=16, layers=3, heads=4, ff_dim=32, max_classes=4))
     _, batch = _seeded_episode(cfg, 0)
-    tape = _episode_loss(model, batch).backward()
-    assert len(tape.nodes) <= 70
+    return _episode_loss(model, batch).backward()
+
+
+def ops(tape):
+    """The tape's non-leaf nodes."""
+    return [t for t in tape.nodes if t._parents]
+
+
+def test_pretrain_step_traverses_at_most_70_nodes():
+    """Each encoder layer is one node over its input and 16 parameters."""
+    assert len(pretrain_step_tape().nodes) <= 70
+
+
+def test_pretrain_step_records_layers_plus_5_ops():
+    """Two tokenizer calls, the episode rows, one node per layer, the head
+    and the loss."""
+    assert len(ops(pretrain_step_tape())) == 3 + 5
 
 
 def wide_finetune_step():
@@ -69,6 +81,13 @@ def test_wide_finetune_step_traverses_at_most_75_nodes():
     model, cfg, batch = wide_finetune_step()
     tape = total_loss(batch, model, cfg).backward()
     assert len(tape.nodes) <= 75
+
+
+def test_wide_finetune_step_records_at_most_11_ops():
+    """The pretraining step's 8 ops plus the orthogonality term, its weight
+    and the sum."""
+    model, cfg, batch = wide_finetune_step()
+    assert len(ops(total_loss(batch, model, cfg).backward())) <= 11
 
 
 class _AddWithoutScatter:

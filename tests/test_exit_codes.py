@@ -1,5 +1,6 @@
-"""Exit codes of ``main()`` on damaged inputs: CSV contents, huge weights,
-well-formed categorical tables and a non-finite token-table gradient.
+"""Exit codes of ``main()`` on damaged inputs: CSV contents, huge weights
+in the encoder and the head, well-formed categorical tables and a
+non-finite token-table gradient.
 
 Every input maps to 0 (ok), 1 (usage), 2 (data) or 3 (numeric), with a
 message naming where it went wrong, and never to a traceback or a numpy
@@ -39,6 +40,37 @@ def checkpoints(tmp_path_factory):
                  "--checkpoint", str(pre / "checkpoint.ckpt"), "--out", str(out),
                  "--epochs", "1", "--steps_per_epoch", "1", "--seeds", "0"]) == EXIT_OK
     return pre / "checkpoint.ckpt", out / "checkpoint_full_seed0.ckpt"
+
+
+@pytest.fixture(scope="module")
+def backbone(tmp_path_factory):
+    """A checkpoint of the benchmark's backbone: 64-dim, 3 layers, 100
+    pretraining episodes."""
+    pre = tmp_path_factory.mktemp("backbone")
+    assert main(["pretrain", "--out", str(pre), "--episodes", "100",
+                 "--embed_dim", "64", "--layers", "3", "--heads", "4",
+                 "--ff_dim", "128", "--holdout", "0"]) == EXIT_OK
+    return pre / "checkpoint.ckpt"
+
+
+def header_params(blob):
+    """(offset of the body, the header's parameter entries) of checkpoint bytes."""
+    header_len = int.from_bytes(blob[8:16], "little")
+    return 16 + header_len, json.loads(blob[16:16 + header_len])["params"]
+
+
+def patched(checkpoint, name, index, value, out):
+    """A copy of ``checkpoint`` at ``out`` with ``name[index] = value``."""
+    blob = bytearray(checkpoint.read_bytes())
+    pos, params = header_params(blob)
+    for entry in params:
+        if entry["name"] == name:
+            break
+        pos += 8 * int(np.prod(entry["shape"]))
+    pos += 8 * int(np.ravel_multi_index(index, entry["shape"]))
+    blob[pos:pos + 8] = np.array([value], dtype="<f8").tobytes()
+    out.write_bytes(bytes(blob))
+    return out
 
 
 def write_csv(dir_path, data: bytes):
@@ -145,16 +177,8 @@ def test_fuzzed_csv_contents_exit_with_a_code(checkpoints, tmp_path, capsys,
 def test_huge_encoder_weight_is_numeric_error_without_warnings(
         checkpoints, tmp_path, capsys):
     """layers.0.w1[0,0] = 1e300 overflows in the gelu: exit 3, no warning."""
-    blob = bytearray(checkpoints[1].read_bytes())
-    header_len = int.from_bytes(blob[8:16], "little")
-    pos = 16 + header_len
-    for entry in json.loads(blob[16:pos])["params"]:
-        if entry["name"] == "layers.0.w1":
-            break
-        pos += 8 * int(np.prod(entry["shape"]))
-    blob[pos:pos + 8] = np.array([1e300], dtype="<f8").tobytes()
-    ckpt = tmp_path / "huge.ckpt"
-    ckpt.write_bytes(bytes(blob))
+    ckpt = patched(checkpoints[1], "layers.0.w1", (0, 0), 1e300,
+                   tmp_path / "huge.ckpt")
     descriptor = write_csv(tmp_path, mixed_csv_text().encode("utf-8"))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -163,6 +187,46 @@ def test_huge_encoder_weight_is_numeric_error_without_warnings(
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "encoder layer 0 feed-forward" in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, index, value, block", [
+    ("head.w", (0, 0), 1e305, "optimizer"),     # Adam's g * g
+    ("head.w", (0, 0), 1.7e308, "optimizer"),
+    ("head.w", (1, 0), 1.7e308, "head"),        # the head's product
+    ("head.b", (0,), 1.7e308, "loss"),          # the mean of the losses
+])
+def test_huge_head_parameter_is_numeric_error_naming_the_block(
+        backbone, tmp_path, capsys, name, index, value, block):
+    """One fine-tuning step from a backbone with one huge head entry stops
+    with exit 3 where the overflow happens, and numpy warns nothing."""
+    ckpt = patched(backbone, name, index, value, tmp_path / "huge.ckpt")
+    descriptor = write_csv(tmp_path, mixed_csv_text().encode("utf-8"))
+    capsys.readouterr()
+    assert finetune(ckpt, descriptor, tmp_path / "ft") == EXIT_NUMERIC
+    assert f"numeric error: {block}: overflow" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["finetune", "evaluate"]),
+       which=st.integers(0, 2**16), where=st.integers(0, 2**16),
+       value=st.sampled_from([1e154, 1e300, 1.7e308, -1e300, -1.7e308]))
+def test_one_huge_parameter_exits_ok_or_numeric_without_warnings(
+        checkpoints, tmp_path, capsys, command, which, where, value):
+    """Any one parameter of either checkpoint set to a huge finite value."""
+    source = checkpoints[0] if command == "finetune" else checkpoints[1]
+    shapes = [(e["name"], tuple(e["shape"]))
+              for e in header_params(source.read_bytes())[1] if np.prod(e["shape"])]
+    name, shape = shapes[which % len(shapes)]
+    index = np.unravel_index(where % int(np.prod(shape)), shape)
+    ckpt = patched(source, name, index, value, tmp_path / "huge.ckpt")
+    descriptor = write_csv(tmp_path, mixed_csv_text().encode("utf-8"))
+    run = finetune(ckpt, descriptor, tmp_path / "ft") if command == "finetune" \
+        else evaluate(ckpt, descriptor)
+    assert run in (EXIT_OK, EXIT_NUMERIC)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def write_categorical_table(dir_path, name, rng, vocab_sizes, rows, blank,

@@ -38,11 +38,10 @@ def make_schema():
     ))
 
 
-def make_tokenizer(dim=4, seed=0, use_identifiers=True):
+def make_tokenizer(dim=4, seed=0):
     schema = make_schema()
     rng = np.random.default_rng(seed)
-    tok = FeatureTokenizer.create(schema.n, schema.vocab_sizes, dim, rng,
-                                  use_identifiers=use_identifiers)
+    tok = FeatureTokenizer.create(schema.n, schema.vocab_sizes, dim, rng)
     return schema, tok
 
 
@@ -120,8 +119,8 @@ class TestTokenizeNumerical:
     def test_no_gradient_reaches_frozen_rows(self):
         schema = make_schema()
         tok = FeatureTokenizer.create(schema.n, schema.vocab_sizes, 3,
-                                      np.random.default_rng(0),
-                                      train_numerical=False)
+                                      np.random.default_rng(0))
+        tok.w_num.requires_grad = False
         out = tokenize_numerical(2.0, 0, tok)
         sum_all(out).backward()
         assert tok.w_num.grad is None
@@ -377,9 +376,10 @@ def fused_case(name, seed=0):
     unseen), so the reserved row is shared by every column.
     """
     n, sizes, use_ids, train_num, rows, dim = FUSED_CASES[name]
-    tok = FeatureTokenizer.create(n, sizes, dim, np.random.default_rng(seed),
-                                  use_identifiers=use_ids,
-                                  train_numerical=train_num)
+    tok = FeatureTokenizer.create(n, sizes, dim, np.random.default_rng(seed))
+    tok.w_num.requires_grad = train_num
+    if not use_ids:
+        tok.identifiers = None
     rng = np.random.default_rng(seed + 1)
     offsets = tok.table.offsets
     batches = []

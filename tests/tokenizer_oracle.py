@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from chain_ops import outer_scale_row
 from tokentab.autodiff import (
     DimensionError,
     NumericError,
@@ -34,7 +35,6 @@ from tokentab.autodiff import (
     add,
     aggregate_tokens,
     mul_scalar,
-    outer_scale_row,
 )
 from tokentab.tokenizer import (
     NAN_ROW,
