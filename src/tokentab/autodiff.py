@@ -377,14 +377,12 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor):
     return out, xhat, inv
 
 
-def _layer_norm_backward(g, xhat, inv, gain: Tensor, bias: Tensor, need_x: bool):
-    """Accumulate the gain and bias gradients; return d input, or None."""
+def _layer_norm_backward(g, xhat, inv, gain: Tensor, bias: Tensor):
+    """Accumulate the gain and bias gradients; return d input."""
     if gain.requires_grad:
         gain._accumulate(np.add.reduce(g * xhat, axis=0))
     if bias.requires_grad:
         bias._accumulate(np.add.reduce(g, axis=0))
-    if not need_x:
-        return None
     dxhat = g * gain.data
     term = dxhat - _row_mean(dxhat)
     dxhat *= xhat
@@ -431,8 +429,9 @@ def encoder_layer(x: Tensor, s: int, params, heads: int) -> Tensor:
 
     The forward runs with numpy overflow and invalid operations raised; one
     of those, or a non-finite block output, is a ``NumericError`` naming the
-    block ("attention" or "feed-forward"). Only what the backward reads is
-    kept, and only for tensors whose gradient it computes.
+    block ("attention" or "feed-forward"). A recorded layer keeps what the
+    backward reads to pass a gradient to ``x``; the inputs of a weight
+    product are kept only when that weight trains.
     """
     p = [params[name] for name in LAYER_PARAMS]
     wq, bq, wk, bk, wv, bv, wo, bo, w1, b1, w2, b2, g1, c1, g2, c2 = p
@@ -440,17 +439,10 @@ def encoder_layer(x: Tensor, s: int, params, heads: int) -> Tensor:
         raise DimensionError(f"encoder layer: input {x.shape}, {heads} heads, "
                              f"width {wq.shape[0]}")
     record = _recording and (x.requires_grad or any(t.requires_grad for t in p))
-    # which intermediates need a gradient (all False without a graph)
-    need_h = record and (x.requires_grad or g1.requires_grad or c1.requires_grad)
-    need_ctx = need_h or record and any(t.requires_grad
-                                        for t in (wq, bq, wk, bk, wv, bv))
-    need_x1 = need_ctx or record and (x.requires_grad or wo.requires_grad
-                                      or bo.requires_grad)
-    need_f = need_x1 or record and (g2.requires_grad or c2.requires_grad)
     saved = {}
     with numeric_guard("attention"):
         h, xhat, inv = _layer_norm(x.data, g1, c1)
-        if need_h:
+        if record:
             saved["ln1"] = (xhat, inv)
         if record and (wq.requires_grad or wk.requires_grad or wv.requires_grad):
             saved["h"] = h
@@ -458,7 +450,7 @@ def encoder_layer(x: Tensor, s: int, params, heads: int) -> Tensor:
         qh, kh, vh = (_split_heads(_affine(h, w, b), heads)
                       for w, b in ((wq, bq), (wk, bk), (wv, bv)))
         del h
-        ctx, saved["attention"] = _attention_forward(qh, kh, vh, s, need_ctx)
+        ctx, saved["attention"] = _attention_forward(qh, kh, vh, s, record)
         del qh, kh, vh
         x1 = ctx @ wo.data
         x1 += bo.data
@@ -469,7 +461,7 @@ def encoder_layer(x: Tensor, s: int, params, heads: int) -> Tensor:
         _check_finite(x1)
     with numeric_guard("feed-forward"):
         f, xhat, inv = _layer_norm(x1, g2, c2)
-        if need_f:
+        if record:
             saved["ln2"] = (xhat, inv)
         del xhat, inv
         u = _affine(f, w1, b1)
@@ -504,33 +496,23 @@ def encoder_layer(x: Tensor, s: int, params, heads: int) -> Tensor:
             b1._accumulate(np.add.reduce(du, axis=0))
         if w1.requires_grad:
             w1._accumulate(saved["f"].T @ du)
-        if not need_f:
-            return
-        dx1 = _layer_norm_backward(du @ w1.data.T, *saved["ln2"], g2, c2, need_x1)
-        if dx1 is None:
-            return
+        dx1 = _layer_norm_backward(du @ w1.data.T, *saved["ln2"], g2, c2)
         dx1 += g                              # the feed-forward residual
         x._accumulate(dx1)                    # the attention residual
         if bo.requires_grad:
             bo._accumulate(np.add.reduce(dx1, axis=0))
         if wo.requires_grad:
             wo._accumulate(saved["ctx"].T @ dx1)
-        if not need_ctx:
-            return
         dq, dk, dv = _attention_backward(dx1 @ wo.data.T, saved["attention"])
         for w, b, d in ((wv, bv, dv), (wk, bk, dk), (wq, bq, dq)):
             if b.requires_grad:
                 b._accumulate(np.add.reduce(d, axis=0))
             if w.requires_grad:
                 w._accumulate(saved["h"].T @ d)
-        if not need_h:
-            return
         dh = dv @ wv.data.T                   # the order the chain's tape took
         dh += dk @ wk.data.T
         dh += dq @ wq.data.T
-        dx = _layer_norm_backward(dh, *saved["ln1"], g1, c1, x.requires_grad)
-        if dx is not None:
-            x._accumulate(dx)
+        x._accumulate(_layer_norm_backward(dh, *saved["ln1"], g1, c1))
 
     return _op(out, (x, *p), backward)
 

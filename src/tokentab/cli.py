@@ -24,6 +24,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import (
+    FIELD_TYPES,
     ConfigError,
     FinetuneSettings,
     GradCheckSettings,
@@ -55,9 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_settings_flags(parser, cls) -> None:
-    types = {"int": int, "float": float, "str": str}
     for f in fields(cls):
-        parser.add_argument(f"--{f.name}", type=types[f.type], default=None,
+        parser.add_argument(f"--{f.name}", type=FIELD_TYPES[f.type], default=None,
                             help=f"(default: {f.default})")
 
 
@@ -171,10 +171,6 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     settings = _settings_from_args(FinetuneSettings, args)
     seeds = settings.seed_list()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    backbone = rebuild_model(load_checkpoint(args.checkpoint))
-    raw = load_descriptor(args.data)
     try:
         cfg = FinetuneConfig(
             epochs=settings.epochs, lr=settings.lr,
@@ -185,6 +181,10 @@ def cmd_finetune(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    backbone = rebuild_model(load_checkpoint(args.checkpoint))
+    raw = load_descriptor(args.data)
     report, details = run_protocol(raw, backbone, cfg, seeds=seeds)
     suffix = settings.variant
     _write_jsonl(out / f"report_{suffix}.jsonl", report.to_records())

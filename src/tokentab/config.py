@@ -34,21 +34,9 @@ def render_kv(mapping: dict) -> str:
     return "".join(f"{k} = {mapping[k]}\n" for k in sorted(mapping))
 
 
-def _coerce(name: str, text: str, typ):
-    try:
-        if typ is int:
-            return int(text)
-        if typ is float:
-            return float(text)
-        if typ is bool:
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        return text
-    except ValueError:
-        raise ConfigError(f"invalid value {text!r} for key {name!r}") from None
+#: the parser of each settings field type, as the dataclasses spell it; the
+#: command-line flags parse with the same functions
+FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
 def resolve(cls, file_map: dict[str, str] | None, overrides: dict | None):
@@ -58,9 +46,10 @@ def resolve(cls, file_map: dict[str, str] | None, overrides: dict | None):
     for key, text in (file_map or {}).items():
         if key not in field_types:
             raise ConfigError(f"unknown config key {key!r}")
-        typ = {"int": int, "float": float, "bool": bool, "str": str}.get(
-            field_types[key], str)
-        values[key] = _coerce(key, text, typ)
+        try:
+            values[key] = FIELD_TYPES[field_types[key]](text)
+        except ValueError:
+            raise ConfigError(f"invalid value {text!r} for key {key!r}") from None
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -11,7 +11,17 @@ import warnings
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor
+from .autodiff import LAYER_PARAMS, NumericError, Tensor, add, mul, sum_all
+from .model import (
+    EncoderLayer,
+    InContextClassifier,
+    ModelConfig,
+    SupportQueryBatch,
+    encoder_forward,
+    episode_rows,
+)
+from .tokenizer import FeatureTokenizer, orthogonal_loss
+from .training import FinetuneConfig, total_loss
 
 
 def grad_check(f, params, eps: float = 1e-5) -> float:
@@ -78,18 +88,6 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
     Uses deliberately tiny dimensions so exhaustive central differences
     finish in seconds. Returns the max relative error per component.
     """
-    from .autodiff import add, mul, sum_all
-    from .model import (
-        EncoderLayer,
-        InContextClassifier,
-        ModelConfig,
-        SupportQueryBatch,
-        encoder_forward,
-        episode_rows,
-    )
-    from .tokenizer import FeatureTokenizer, orthogonal_loss
-    from .training import FinetuneConfig, total_loss
-
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
@@ -115,8 +113,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
         h = encoder_forward(x, 2, stack)
         return sum_all(mul(h, h))
 
-    enc_params = [x] + [t for layer in stack
-                        for _, t in layer.named_tensors("layer")]
+    enc_params = [x] + [getattr(layer, n) for layer in stack for n in LAYER_PARAMS]
     results["encoder"] = grad_check(encoder_target, enc_params, eps=eps)
 
     # label embedder: squared encoder input of 3 labelled supports, 2 queries
@@ -135,8 +132,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
     # full episode loss with the orthogonality term active
     config = ModelConfig(embed_dim=embed_dim, layers=layers, heads=heads,
                          ff_dim=ff_dim, max_classes=max_classes)
-    tok2 = FeatureTokenizer.create(n=2, vocab_sizes=(2, 3), dim=embed_dim, rng=rng)
-    model = InContextClassifier.create(config, tok2, rng)
+    model = InContextClassifier.create(config, 2, (2, 3), rng)
     batch = SupportQueryBatch(
         support_num=rng.standard_normal((3, 2)),
         support_cat=np.column_stack([rng.integers(0, 3, size=3),

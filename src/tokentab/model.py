@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    LAYER_PARAMS,
     DimensionError,
     NumericError,
     Tensor,
@@ -24,7 +25,7 @@ from .autodiff import (
     numeric_guard,
     softmax_rows,
 )
-from .tokenizer import CategoricalTokenTable, FeatureTokenizer
+from .tokenizer import CategoricalTokenTable, FeatureTokenizer, initial_array
 
 
 @dataclass(frozen=True)
@@ -122,29 +123,21 @@ class EncoderLayer:
     @classmethod
     def create(cls, dim: int, heads: int, ff_dim: int,
                rng: np.random.Generator) -> "EncoderLayer":
-        """Matrices drawn from N(0, 1/rows) in parameter order; biases 0, gains 1."""
-        tensors = {}
-        for name, shape in cls.parameter_shapes(dim, ff_dim).items():
-            if len(shape) == 2:
-                data = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
-            else:
-                data = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
-            tensors[name] = Tensor(data, requires_grad=True)
-        return cls(tensors, heads)
+        """Every parameter trainable, drawn by ``initial_array`` as a
+        ``layers.*`` parameter, in parameter order."""
+        return cls({name: Tensor(initial_array(f"layers.{name}", shape, dim, rng),
+                                 requires_grad=True)
+                    for name, shape in cls.parameter_shapes(dim, ff_dim).items()},
+                   heads)
 
     @staticmethod
     def parameter_shapes(dim: int, ff_dim: int) -> dict[str, tuple[int, ...]]:
-        """Shape of every parameter by name, in checkpoint order."""
-        return {
-            "wq": (dim, dim), "bq": (dim,), "wk": (dim, dim), "bk": (dim,),
-            "wv": (dim, dim), "bv": (dim,), "wo": (dim, dim), "bo": (dim,),
-            "w1": (dim, ff_dim), "b1": (ff_dim,), "w2": (ff_dim, dim), "b2": (dim,),
-            "ln1_g": (dim,), "ln1_b": (dim,), "ln2_g": (dim,), "ln2_b": (dim,),
-        }
-
-    def named_tensors(self, prefix: str):
-        return [(f"{prefix}.{n}", getattr(self, n))
-                for n in self.parameter_shapes(*self.w1.shape)]
+        """Shape of every parameter by name, in checkpoint order
+        (``LAYER_PARAMS``): (dim, dim) matrices and width-dim vectors, except
+        the feed-forward's ``w1``, ``b1`` and ``w2``."""
+        ff = {"w1": (dim, ff_dim), "b1": (ff_dim,), "w2": (ff_dim, dim)}
+        return {name: ff.get(name, (dim, dim) if name[0] == "w" else (dim,))
+                for name in LAYER_PARAMS}
 
     def forward(self, x: Tensor, s: int) -> Tensor:
         """One layer over rows whose first ``s`` are supports, the rest queries."""
@@ -221,30 +214,35 @@ def encoder_forward(x: Tensor, s: int, layers) -> Tensor:
 class InContextClassifier:
     """Feature tokenizer, label embedder, encoder stack and class head."""
 
-    def __init__(self, config: ModelConfig, tokenizer: FeatureTokenizer,
-                 label_weights: Tensor, layers: list[EncoderLayer],
-                 head_w: Tensor, head_b: Tensor):
-        if label_weights.shape != (1, config.embed_dim):
+    def __init__(self, config: ModelConfig, table_sizes,
+                 tensors: dict[str, Tensor]):
+        """``tensors`` maps every name of ``parameter_shapes`` to its tensor,
+        in that order; the parts of the model hold these same tensors."""
+        if tensors["label_embed"].shape != (1, config.embed_dim):
             raise DimensionError("label embedder must be a (1, d) matrix")
         self.config = config
-        self.tokenizer = tokenizer
-        self.label_weights = label_weights
-        self.layers = layers
-        self.head_w = head_w
-        self.head_b = head_b
+        self.tensors = tensors
+        self.tokenizer = FeatureTokenizer(
+            tensors["tokenizer.w_num"],
+            CategoricalTokenTable(tensors["tokenizer.table"], tuple(table_sizes)),
+            tensors.get("tokenizer.identifiers"))
+        self.label_weights = tensors["label_embed"]
+        self.layers = [EncoderLayer({n: tensors[f"layers.{i}.{n}"]
+                                     for n in LAYER_PARAMS}, config.heads)
+                       for i in range(config.layers)]
+        self.head_w = tensors["head.w"]
+        self.head_b = tensors["head.b"]
 
     @classmethod
-    def create(cls, config: ModelConfig, tokenizer: FeatureTokenizer,
+    def create(cls, config: ModelConfig, n_numerical: int, table_sizes,
                rng: np.random.Generator) -> "InContextClassifier":
-        d = config.embed_dim
-        std = 1.0 / np.sqrt(d)
-        label_weights = Tensor(rng.normal(0.0, std, size=(1, d)), requires_grad=True)
-        layers = [EncoderLayer.create(d, config.heads, config.ff_dim, rng)
-                  for _ in range(config.layers)]
-        head_w = Tensor(rng.normal(0.0, std, size=(d, config.max_classes)),
-                        requires_grad=True)
-        head_b = Tensor(np.zeros(config.max_classes), requires_grad=True)
-        return cls(config, tokenizer, label_weights, layers, head_w, head_b)
+        """Every parameter trainable, identifiers included, drawn by
+        ``initial_array`` in ``parameter_shapes`` order."""
+        arrays = {name: initial_array(name, shape, config.embed_dim, rng)
+                  for name, shape in cls.parameter_shapes(
+                      config, n_numerical, table_sizes, True)}
+        return cls.from_arrays(config, table_sizes, arrays,
+                               dict.fromkeys(arrays, True))
 
     @staticmethod
     def parameter_shapes(config: ModelConfig, n_numerical: int | None,
@@ -254,10 +252,8 @@ class InContextClassifier:
         ``n_numerical`` None leaves the row count of ``tokenizer.w_num`` open.
         """
         d = config.embed_dim
-        yield "tokenizer.w_num", (n_numerical, d)
-        yield "tokenizer.table", (1 + sum(table_sizes), d)
-        if identifiers:
-            yield "tokenizer.identifiers", (len(table_sizes), d)
+        yield from FeatureTokenizer.parameter_shapes(n_numerical, table_sizes, d,
+                                                     identifiers)
         yield "label_embed", (1, d)
         for i in range(config.layers):
             for name, shape in EncoderLayer.parameter_shapes(d, config.ff_dim).items():
@@ -277,25 +273,13 @@ class InContextClassifier:
         names = cls.parameter_shapes(config, None, table_sizes,
                                      "tokenizer.identifiers" in arrays)
         # np.array copies: Tensor() would wrap a float64 array without copying
-        t = {name: Tensor(np.array(arrays[name], dtype=np.float64),
-                          requires_grad=trainable[name]) for name, _ in names}
-        tokenizer = FeatureTokenizer(
-            t["tokenizer.w_num"],
-            CategoricalTokenTable(t["tokenizer.table"], tuple(table_sizes)),
-            t.get("tokenizer.identifiers"))
-        layer_names = EncoderLayer.parameter_shapes(config.embed_dim, config.ff_dim)
-        layers = [EncoderLayer({n: t[f"layers.{i}.{n}"] for n in layer_names},
-                               config.heads) for i in range(config.layers)]
-        return cls(config, tokenizer, t["label_embed"], layers,
-                   t["head.w"], t["head.b"])
+        return cls(config, table_sizes,
+                   {name: Tensor(np.array(arrays[name], dtype=np.float64),
+                                 requires_grad=trainable[name])
+                    for name, _ in names})
 
-    def named_tensors(self):
-        out = list(self.tokenizer.named_tensors())
-        out.append(("label_embed", self.label_weights))
-        for i, layer in enumerate(self.layers):
-            out.extend(layer.named_tensors(f"layers.{i}"))
-        out.extend([("head.w", self.head_w), ("head.b", self.head_b)])
-        return out
+    def named_tensors(self) -> list[tuple[str, Tensor]]:
+        return list(self.tensors.items())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_tensors()}

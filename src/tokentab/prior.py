@@ -20,7 +20,6 @@ from .autodiff import NumericError, no_grad, softmax_cross_entropy
 from .model import (InContextClassifier, ModelConfig, SupportQueryBatch,
                     split_episode)
 from .optim import Adam
-from .tokenizer import FeatureTokenizer
 
 _TASK_TAG = 7791      # seed-stream tags keep task, split and init draws apart
 _SPLIT_TAG = 3317
@@ -199,13 +198,8 @@ def build_pretraining_model(cfg: PriorConfig, model_cfg: ModelConfig,
     if cfg.max_classes > model_cfg.max_classes:
         raise ValueError("prior max_classes exceeds the model head width")
     rng = np.random.default_rng([cfg.seed, _INIT_TAG])
-    tok = FeatureTokenizer.create(
-        n=cfg.max_features,
-        vocab_sizes=cfg.table_sizes,
-        dim=model_cfg.embed_dim,
-        rng=rng,
-    )
-    return InContextClassifier.create(model_cfg, tok, rng)
+    return InContextClassifier.create(model_cfg, cfg.max_features,
+                                      cfg.table_sizes, rng)
 
 
 def _episode_loss(model: InContextClassifier, batch: SupportQueryBatch):

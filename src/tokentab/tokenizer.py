@@ -41,6 +41,26 @@ SUM_BLOCK = 1 << 14
 NORM_EPS = 1e-12
 
 
+def initial_array(name: str, shape, dim: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The initial value of the model parameter ``name`` (a name of
+    ``InContextClassifier.parameter_shapes``): the one rule every parameter
+    is drawn by.
+
+    A matrix is N(0, 1/rows), where rows is ``shape[0]`` for an encoder
+    layer's (``layers.*``) and the embedding width ``dim`` for every other;
+    a vector is 0, and a layer-norm gain (``*_g``) is 1. The token table's
+    ``NAN_ROW`` is 0. Only matrices draw from ``rng``.
+    """
+    if len(shape) == 1:
+        return np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+    rows = shape[0] if name.startswith("layers.") else dim
+    data = rng.normal(0.0, 1.0 / np.sqrt(rows), size=shape)
+    if name == "tokenizer.table":
+        data[NAN_ROW] = 0.0
+    return data
+
+
 class SchemaError(ValueError):
     """A row or dataset does not conform to the fitted feature schema."""
 
@@ -85,10 +105,6 @@ class FeatureSchema:
     @property
     def m(self) -> int:
         return sum(1 for c in self.columns if c.kind == CATEGORICAL)
-
-    @property
-    def numerical_columns(self) -> tuple[Column, ...]:
-        return tuple(c for c in self.columns if c.kind == NUMERICAL)
 
     @property
     def categorical_columns(self) -> tuple[Column, ...]:
@@ -150,19 +166,6 @@ class CategoricalTokenTable:
     def offsets(self) -> tuple[int, ...]:
         return _first_rows(self.sizes)
 
-    @staticmethod
-    def draw(sizes, dim: int, rng: np.random.Generator) -> np.ndarray:
-        """Initial table rows: N(0, 1/dim), with the NaN row at zero."""
-        data = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(1 + sum(sizes), dim))
-        data[NAN_ROW] = 0.0
-        return data
-
-    @classmethod
-    def create(cls, sizes, dim: int,
-               rng: np.random.Generator) -> "CategoricalTokenTable":
-        sizes = tuple(int(s) for s in sizes)
-        return cls(Tensor(cls.draw(sizes, dim, rng), requires_grad=True), sizes)
-
 
 class FeatureTokenizer:
     """Bundles the three token parameter sets and turns rows into embeddings.
@@ -184,25 +187,25 @@ class FeatureTokenizer:
     def dim(self) -> int:
         return self.w_num.shape[1]
 
+    @staticmethod
+    def parameter_shapes(n: int | None, table_sizes, dim: int, identifiers: bool):
+        """Name and shape of the tokenizer's parameters, lazily, in checkpoint
+        order: the first rows of ``InContextClassifier.parameter_shapes``."""
+        yield "tokenizer.w_num", (n, dim)
+        yield "tokenizer.table", (1 + sum(table_sizes), dim)
+        if identifiers:
+            yield "tokenizer.identifiers", (len(table_sizes), dim)
+
     @classmethod
     def create(cls, n: int, vocab_sizes, dim: int,
                rng: np.random.Generator) -> "FeatureTokenizer":
-        """Every parameter trainable, identifiers included, drawn in the
-        order ``w_num``, table, identifiers."""
+        """Every parameter trainable, identifiers included, drawn by
+        ``initial_array`` in the order ``w_num``, table, identifiers."""
         sizes = tuple(int(s) for s in vocab_sizes)
-        std = 1.0 / np.sqrt(dim)
-        w_num = Tensor(rng.normal(0.0, std, size=(n, dim)), requires_grad=True)
-        table = CategoricalTokenTable.create(sizes, dim, rng)
-        identifiers = Tensor(rng.normal(0.0, std, size=(len(sizes), dim)),
-                             requires_grad=True)
-        return cls(w_num, table, identifiers)
-
-    def named_tensors(self):
-        out = [("tokenizer.w_num", self.w_num),
-               ("tokenizer.table", self.table.weights)]
-        if self.identifiers is not None:
-            out.append(("tokenizer.identifiers", self.identifiers))
-        return out
+        w_num, table, ids = (
+            Tensor(initial_array(name, shape, dim, rng), requires_grad=True)
+            for name, shape in cls.parameter_shapes(n, sizes, dim, True))
+        return cls(w_num, CategoricalTokenTable(table, sizes), ids)
 
     def embed_rows(self, num: np.ndarray, cat: np.ndarray) -> Tensor:
         """Sample embeddings for an encoded batch: (rows, d).

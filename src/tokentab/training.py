@@ -25,12 +25,7 @@ from .data import (
 from .metrics import UndefinedMetricError, accuracy, roc_auc_ovo
 from .model import InContextClassifier, SupportQueryBatch, split_episode
 from .optim import Adam
-from .tokenizer import (
-    CategoricalTokenTable,
-    FeatureSchema,
-    SchemaError,
-    orthogonal_loss,
-)
+from .tokenizer import FeatureSchema, SchemaError, initial_array, orthogonal_loss
 
 VARIANTS = ("full", "no_identifiers", "no_regularization")
 TRAINABLE_SETS = ("ft_layer_only", "full_model")
@@ -170,7 +165,8 @@ def build_finetune_model(pretrained: InContextClassifier, schema: FeatureSchema,
     arrays = {name: t.data for name, t in pretrained.named_tensors()
               if name != "tokenizer.identifiers"}
     arrays["tokenizer.w_num"] = arrays["tokenizer.w_num"][:schema.n]
-    arrays["tokenizer.table"] = CategoricalTokenTable.draw(schema.vocab_sizes, d, rng)
+    arrays["tokenizer.table"] = initial_array("tokenizer.table",
+                                              (schema.table_rows, d), d, rng)
     if cfg.variant != "no_identifiers":
         # fresh identifiers must start small relative to token scale: a
         # token-sized random bias on every token of a column shifts the

@@ -286,6 +286,19 @@ class TestSettingsExitCodes:
         (["pretrain", "--max_classes", "2"], "max_classes"),
         (["pretrain", "--episodes", "-1"], "episodes"),
         (["pretrain", "--holdout", "-1"], "holdout"),
+        # finetune refuses its settings before it reads the checkpoint and data
+        (["finetune", "--data", "d", "--checkpoint", "c", "--variant", "bogus"],
+         "variant"),
+        (["finetune", "--data", "d", "--checkpoint", "c", "--epochs", "-1"],
+         "epochs"),
+        (["finetune", "--data", "d", "--checkpoint", "c", "--lambda_orth", "-1"],
+         "lambda_orth"),
+        (["finetune", "--data", "d", "--checkpoint", "c",
+          "--support_fraction", "1.5"], "support_fraction"),
+        (["finetune", "--data", "d", "--checkpoint", "c",
+          "--steps_per_epoch", "0"], "steps_per_epoch"),
+        (["finetune", "--data", "d", "--checkpoint", "c", "--trainable", "nope"],
+         "trainable"),
     ])
     def test_unusable_setting_is_usage_error(self, tmp_path, capsys, argv, named):
         if argv[0] in ("pretrain", "finetune"):

@@ -24,10 +24,15 @@ from tokentab.model import EncoderLayer, encoder_forward
 DIM, FF = 8, 16
 
 
+def layer_tensors(layer):
+    """The layer's 16 parameter tensors in ``LAYER_PARAMS`` order."""
+    return [getattr(layer, n) for n in LAYER_PARAMS]
+
+
 def make_layer(rng, heads, trainable=True, dim=DIM, ff=FF):
     """A layer with every parameter perturbed, so no bias is 0 and no gain 1."""
     layer = EncoderLayer.create(dim, heads, ff, rng)
-    for _, t in layer.named_tensors("layer"):
+    for t in layer_tensors(layer):
         t.data += 0.2 * rng.standard_normal(t.shape)
         t.requires_grad = trainable
     return layer
@@ -40,12 +45,12 @@ def weighted_sum(out, seed):
 
 def run(forward, layer, x_data, x_grad, s, seed):
     """Forward data, x's gradient and every parameter gradient of one pass."""
-    for _, t in layer.named_tensors("layer"):
+    for t in layer_tensors(layer):
         t.grad = None
     x = Tensor(x_data.copy(), requires_grad=x_grad)
     out = forward(x, s)
     weighted_sum(out, seed).backward()
-    return [out.data, x.grad] + [t.grad for _, t in layer.named_tensors("layer")]
+    return [out.data, x.grad] + [t.grad for t in layer_tensors(layer)]
 
 
 def assert_identical(fused, chain):
@@ -70,7 +75,7 @@ class TestChainEquivalence:
         rng = np.random.default_rng(seed)
         s = min(n, 1 + int(s_frac * n))
         layer = make_layer(rng, heads)
-        for (_, t), flag in zip(layer.named_tensors("layer"), trainable):
+        for t, flag in zip(layer_tensors(layer), trainable):
             t.requires_grad = flag
         x = rng.standard_normal((n, DIM))
         fused = run(layer.forward, layer, x, x_grad, s, seed)
@@ -104,7 +109,7 @@ class TestGradients:
         rng = np.random.default_rng(10 + s)
         layer = make_layer(rng, 2, trainable, dim=4, ff=6)
         x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        params = [x] + [t for _, t in layer.named_tensors("layer") if t.requires_grad]
+        params = [x] + [t for t in layer_tensors(layer) if t.requires_grad]
         err = grad_check(lambda: weighted_sum(layer.forward(x, s), s), params,
                          eps=1e-5)
         assert err < 1e-5

@@ -27,11 +27,10 @@ from tokentab.tokenizer import Column, FeatureSchema, FeatureTokenizer
 
 def small_model(seed=0, dim=8, layers=2, heads=2, max_classes=3,
                 n=2, sizes=(2, 3)):
-    rng = np.random.default_rng(seed)
-    tok = FeatureTokenizer.create(n, sizes, dim, rng)
     config = ModelConfig(embed_dim=dim, layers=layers, heads=heads,
                          ff_dim=dim * 2, max_classes=max_classes)
-    return InContextClassifier.create(config, tok, rng)
+    return InContextClassifier.create(config, n, sizes,
+                                      np.random.default_rng(seed))
 
 
 def random_batch(seed=0, s=4, q=3, n=2, n_classes=3):

@@ -17,7 +17,6 @@ from tokentab.gradcheck import grad_check
 from tokentab.tokenizer import (
     NAN_ROW,
     PRODUCT_SHARE,
-    CategoricalTokenTable,
     Column,
     FeatureSchema,
     FeatureTokenizer,
@@ -209,19 +208,19 @@ class TestOrthogonalLoss:
 
 class TestGramMatrices:
     def test_identity_table_gives_identity(self):
-        table = CategoricalTokenTable.create((2,), 3, np.random.default_rng(0))
+        table = FeatureTokenizer.create(0, (2,), 3, np.random.default_rng(0)).table
         table.weights.data[...] = np.eye(3)
         assert np.array_equal(category_gram_matrix(table), np.eye(3))
 
     def test_symmetric_nonnegative_diagonal(self):
-        table = CategoricalTokenTable.create((3, 2), 4, np.random.default_rng(1))
+        table = FeatureTokenizer.create(0, (3, 2), 4, np.random.default_rng(1)).table
         g = category_gram_matrix(table)
         assert np.array_equal(g, g.T)
         assert (np.diag(g) >= 0.0).all()
 
     def test_matches_pairwise_dot_oracle(self):
         rows = np.random.default_rng(2).standard_normal((3, 4))
-        table = CategoricalTokenTable.create((2,), 4, np.random.default_rng(0))
+        table = FeatureTokenizer.create(0, (2,), 4, np.random.default_rng(0)).table
         table.weights.data[...] = rows
         g = category_gram_matrix(table)
         for i in range(3):
@@ -254,7 +253,7 @@ class TestEmbedding:
         from tokentab.optim import Adam
 
         schema, tok = make_tokenizer(dim=4, seed=2)
-        opt = Adam([t for _, t in tok.named_tensors()], lr=0.1)
+        opt = Adam([tok.w_num, tok.table.weights, tok.identifiers], lr=0.1)
         num = np.random.default_rng(0).standard_normal((6, 1))
         cat = np.array([[0, 4], [1, 5], [2, 4], [3, 5], [0, 4], [2, 5]])
         for _ in range(20):
@@ -343,12 +342,12 @@ class TestEmbedding:
 
 class TestTokenTable:
     def test_offsets_partition_rows(self):
-        table = CategoricalTokenTable.create((3, 2), 4, np.random.default_rng(0))
+        table = FeatureTokenizer.create(0, (3, 2), 4, np.random.default_rng(0)).table
         assert table.offsets == (1, 4)
         assert table.weights.shape == (6, 4)
 
     def test_row_zero_initialized_to_zero(self):
-        table = CategoricalTokenTable.create((3, 2), 4, np.random.default_rng(0))
+        table = FeatureTokenizer.create(0, (3, 2), 4, np.random.default_rng(0)).table
         assert np.array_equal(table.weights.data[0], np.zeros(4))
 
 
@@ -408,7 +407,9 @@ def run_two_calls(tok, batches, embed):
     if tok.identifiers is not None and tok.identifiers.shape[0] > 1:
         loss = add(orthogonal_loss(tok.identifiers), loss)
     loss.backward()
-    grads = {name: t.grad for name, t in tok.named_tensors()}
+    params = {"tokenizer.w_num": tok.w_num, "tokenizer.table": tok.table.weights,
+              "tokenizer.identifiers": tok.identifiers}
+    grads = {name: t.grad for name, t in params.items() if t is not None}
     return a.data, b.data, grads
 
 
