@@ -13,6 +13,7 @@ import argparse
 
 from tokentab.checkpoint import load_checkpoint, rebuild_model
 from tokentab.cli import load_descriptor
+from tokentab.config import ConfigError, FinetuneSettings
 from tokentab.training import FinetuneConfig, run_protocol
 
 VARIANTS = ("full", "no_regularization", "no_identifiers")
@@ -29,7 +30,10 @@ def main():
     ap.add_argument("--seeds", default="0,1,2,3,4")
     args = ap.parse_args()
 
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = FinetuneSettings(seeds=args.seeds).seed_list()
+    except ConfigError as exc:
+        ap.error(str(exc))
     backbone = rebuild_model(load_checkpoint(args.checkpoint))
     raw = load_descriptor(args.data)
 

@@ -149,66 +149,18 @@ def _op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise operations
-# ---------------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for equal shapes, or a 2-D ``a`` plus a bias row ``b`` of width d."""
-    row_broadcast = (
-        a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]
-    )
-    if a.shape != b.shape and not row_broadcast:
-        raise DimensionError(f"add: {a.shape} + {b.shape}")
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0) if row_broadcast else g)
-
-    return _op(out_data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"mul: {a.shape} * {b.shape}")
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _op(out_data, (a, b), backward)
-
-
-def mul_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        a._accumulate(g * c)
-
-    return _op(a.data * c, (a,), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(np.full_like(a.data, g.item()))
-
-    return _op(np.asarray(a.data.sum()), (a,), backward)
-
-
-# ---------------------------------------------------------------------------
 # losses and attention
 # ---------------------------------------------------------------------------
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the labelled class, stabilized.
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray,
+                          penalty: Tensor | None = None,
+                          weight: float = 1.0) -> Tensor:
+    """Mean negative log-softmax of the labelled class, stabilized, plus
+    ``weight`` times the scalar ``penalty`` when one is given.
 
-    Gradient w.r.t. the logits is (softmax - onehot) / n. Forward and
-    backward run under ``numeric_guard("loss")``.
+    Gradient w.r.t. the logits is (softmax - onehot) / n, w.r.t. the
+    penalty ``weight``. Forward and backward run under
+    ``numeric_guard("loss")``.
     """
     y = np.asarray(labels)
     if logits.data.ndim != 2:
@@ -218,19 +170,27 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise DimensionError("labels must be a 1-D integer array matching rows")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise IndexError(f"label out of range [0,{c})")
+    if penalty is not None and penalty.data.size != 1:
+        raise DimensionError(f"penalty of shape {penalty.shape} is not a scalar")
+    weight = float(weight)
     with numeric_guard("loss"):
         m = logits.data.max(axis=1, keepdims=True)
         lse = m + np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True))
         losses = lse[:, 0] - logits.data[np.arange(n), y]
         out_data = np.asarray(losses.mean())
+        if penalty is not None:
+            out_data = out_data + penalty.data * weight
 
     def backward(g):
         with numeric_guard("loss"):
+            if penalty is not None:
+                penalty._accumulate(g * weight)
             p = np.exp(logits.data - lse)
             p[np.arange(n), y] -= 1.0
             logits._accumulate(g.item() * p / n)
 
-    return _op(out_data, (logits,), backward)
+    parents = (logits,) if penalty is None else (logits, penalty)
+    return _op(out_data, parents, backward)
 
 
 def softmax_rows(data: np.ndarray) -> np.ndarray:

@@ -129,6 +129,9 @@ class FinetuneSettings:
             raise ConfigError("key 'seeds' must list at least one seed")
         if min(seeds) < 0:
             raise ConfigError(f"key 'seeds' must list seeds >= 0, got {min(seeds)}")
+        for i, seed in enumerate(seeds):
+            if seed in seeds[:i]:
+                raise ConfigError(f"key 'seeds' lists seed {seed} more than once")
         return seeds
 
 
@@ -145,6 +148,8 @@ class GradCheckSettings:
 
     def __post_init__(self):
         _check_at_least(self, "seed", 0)
+        if not self.tolerance > 0.0:   # no error passes a tolerance of 0
+            raise ConfigError(f"key 'tolerance' must be > 0, got {self.tolerance!r}")
         # the bounds grad_check itself enforces
         if not 0.0 < self.eps <= 1e-3:
             raise ConfigError(f"key 'eps' must be in (0, 1e-3], got {self.eps!r}")

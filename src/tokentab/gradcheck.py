@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .autodiff import LAYER_PARAMS, NumericError, Tensor, add, mul, sum_all
+from .autodiff import LAYER_PARAMS, NumericError, Tensor, _op
 from .model import (
     EncoderLayer,
     InContextClassifier,
@@ -80,6 +80,23 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
     return worst
 
 
+def _sum_of_squares(t: Tensor, penalty: Tensor | None = None) -> Tensor:
+    """The sum of ``t``'s squared entries, plus the scalar ``penalty`` when
+    one is given: the checks' scalar targets, recorded as one node. Value
+    and gradients are those of the generic chain ``sum(t * t) + penalty``
+    bit for bit: ``2 * h`` is exactly ``h + h``."""
+    out_data = np.asarray((t.data * t.data).sum())
+    if penalty is not None:
+        out_data = out_data + penalty.data
+
+    def backward(g):
+        t._accumulate(2.0 * g.item() * t.data)
+        if penalty is not None:
+            penalty._accumulate(g)
+
+    return _op(out_data, (t,) if penalty is None else (t, penalty), backward)
+
+
 def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
                      layers: int = 2, heads: int = 2, ff_dim: int = 16,
                      max_classes: int = 3) -> dict[str, float]:
@@ -100,7 +117,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
 
     def ft_target():
         e = tok.embed_rows(num, cat)
-        return add(sum_all(mul(e, e)), orthogonal_loss(tok.identifiers))
+        return _sum_of_squares(e, orthogonal_loss(tok.identifiers))
 
     results["token_layer"] = grad_check(
         ft_target, [tok.w_num, tok.table.weights, tok.identifiers], eps=eps)
@@ -111,7 +128,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
 
     def encoder_target():
         h = encoder_forward(x, 2, stack)
-        return sum_all(mul(h, h))
+        return _sum_of_squares(h)
 
     enc_params = [x] + [getattr(layer, n) for layer in stack for n in LAYER_PARAMS]
     results["encoder"] = grad_check(encoder_target, enc_params, eps=eps)
@@ -124,7 +141,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
 
     def label_target():
         e = episode_rows(support, query, y_values, label_w)
-        return sum_all(mul(e, e))
+        return _sum_of_squares(e)
 
     results["label_embedder"] = grad_check(label_target, [label_w, support, query],
                                            eps=eps)

@@ -344,7 +344,8 @@ def orthogonal_loss(identifiers: Tensor) -> Tensor:
 
     Rows are normalized to unit length first, so the loss is invariant to
     positive rescaling of any identifier and bounded by m*(m-1). A single
-    identifier gives an empty sum: exactly zero.
+    identifier gives an empty sum: exactly zero. The backward runs under
+    ``numeric_guard("orthogonality")``.
     """
     x = identifiers.data
     if x.ndim != 2:
@@ -357,10 +358,11 @@ def orthogonal_loss(identifiers: Tensor) -> Tensor:
     out_data = np.asarray((off * off).sum())
 
     def backward(grad):
-        du = 4.0 * off @ u  # d loss / d normalized rows
-        coef = (x * du).sum(axis=1, keepdims=True) / safe**3
-        dx = du / safe - x * coef
-        identifiers._accumulate(grad.item() * dx)
+        with numeric_guard("orthogonality"):
+            du = 4.0 * off @ u  # d loss / d normalized rows
+            coef = (x * du).sum(axis=1, keepdims=True) / safe**3
+            dx = du / safe - x * coef
+            identifiers._accumulate(grad.item() * dx)
 
     return _op(out_data, (identifiers,), backward)
 

@@ -12,8 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import (NumericError, add, mul_scalar, no_grad,
-                       softmax_cross_entropy, softmax_rows)
+from .autodiff import NumericError, no_grad, softmax_cross_entropy, softmax_rows
 from .data import (
     EncodedDataset,
     NormalizationStats,
@@ -194,11 +193,11 @@ def total_loss(batch: SupportQueryBatch, model: InContextClassifier,
 
 def _loss_from_logits(logits, batch: SupportQueryBatch,
                       model: InContextClassifier, cfg: FinetuneConfig):
-    ce = softmax_cross_entropy(logits, batch.query_y)
     lam = cfg.effective_lambda
     if lam > 0.0 and model.tokenizer.identifiers is not None:
-        return add(ce, mul_scalar(orthogonal_loss(model.tokenizer.identifiers), lam))
-    return ce
+        return softmax_cross_entropy(
+            logits, batch.query_y, orthogonal_loss(model.tokenizer.identifiers), lam)
+    return softmax_cross_entropy(logits, batch.query_y)
 
 
 def _episode_metrics(model, batch, cfg) -> tuple[float, float, float]:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from chain_ops import gelu, layer_norm, linear_forward, matmul, slice_cols
+from chain_ops import (add, gelu, layer_norm, linear_forward, matmul, mul_scalar,
+                       slice_cols)
 from tokentab import autodiff
-from tokentab.autodiff import DimensionError, Tensor, _op, add, mul_scalar
+from tokentab.autodiff import DimensionError, Tensor, _op
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, s: int, heads: int) -> Tensor:

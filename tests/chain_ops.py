@@ -1,10 +1,12 @@
 """Generic 2-D ops: the chains the package's fused ops replaced.
 
 Before the package folded an episode into a few fused ops, its graph was
-built from these: ``matmul``, ``linear_forward``, ``outer_scale_row``,
-``slice_rows``, ``slice_cols``, ``concat_rows``, ``gelu`` and
-``layer_norm``. Nothing in the package calls them now, so they live here as
-the references the fused ops are compared against, bit for bit.
+built from these: ``add``, ``mul``, ``mul_scalar``, ``sum_all``,
+``matmul``, ``linear_forward``, ``outer_scale_row``, ``slice_rows``,
+``slice_cols``, ``concat_rows``, ``gelu`` and ``layer_norm``. Nothing in the
+package calls them now, so they live here as the references the fused ops
+are compared against, bit for bit. The fine-tuning loss was
+``add(softmax_cross_entropy(...), mul_scalar(orthogonal_loss(...), lam))``.
 
 ``episode_chain`` and ``query_logits_chain`` are the chains that
 ``model.episode_rows`` and ``model.query_logits`` replaced: the label token,
@@ -16,7 +18,55 @@ from __future__ import annotations
 
 import numpy as np
 
-from tokentab.autodiff import DimensionError, Tensor, _as_f64, _op, add
+from tokentab.autodiff import DimensionError, Tensor, _as_f64, _op
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for equal shapes, or a 2-D ``a`` plus a bias row ``b`` of width d."""
+    row_broadcast = (
+        a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]
+    )
+    if a.shape != b.shape and not row_broadcast:
+        raise DimensionError(f"add: {a.shape} + {b.shape}")
+    out_data = a.data + b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0) if row_broadcast else g)
+
+    return _op(out_data, (a, b), backward)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: {a.shape} * {b.shape}")
+    out_data = a.data * b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return _op(out_data, (a, b), backward)
+
+
+def mul_scalar(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+
+    def backward(g):
+        a._accumulate(g * c)
+
+    return _op(a.data * c, (a,), backward)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    def backward(g):
+        a._accumulate(np.full_like(a.data, g.item()))
+
+    return _op(np.asarray(a.data.sum()), (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

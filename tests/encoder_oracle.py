@@ -10,8 +10,8 @@ the forward and in every gradient.
 from __future__ import annotations
 
 from attention_oracle import attention
-from chain_ops import gelu, layer_norm, linear_forward
-from tokentab.autodiff import Tensor, add
+from chain_ops import add, gelu, layer_norm, linear_forward
+from tokentab.autodiff import Tensor
 
 
 def layer_chain(layer, x: Tensor, s: int) -> Tensor:

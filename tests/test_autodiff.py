@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 
 from attention_oracle import attention, concat_cols, masked_softmax, transpose2d
 from chain_ops import (
+    add,
     concat_rows,
     gelu,
     layer_norm,
     linear_forward,
     matmul,
+    mul,
+    mul_scalar,
     outer_scale_row,
     slice_cols,
     slice_rows,
+    sum_all,
 )
 from tokenizer_oracle import gather_rows, row
 from tokentab import autodiff
@@ -25,17 +29,14 @@ from tokentab.autodiff import (
     DimensionError,
     NumericError,
     Tensor,
-    add,
     aggregate_tokens,
-    mul,
-    mul_scalar,
     no_grad,
     softmax_cross_entropy,
     softmax_rows,
-    sum_all,
 )
 from tokentab.gradcheck import grad_check
 from tokentab.optim import Adam
+from tokentab.tokenizer import orthogonal_loss
 
 
 def tensor(data, rg=True):
@@ -120,6 +121,68 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(loss.item())
         loss.backward()
         assert np.isfinite(logits.grad).all()
+
+
+class TestLossWithPenalty:
+    """``softmax_cross_entropy`` with a weighted penalty against the chain it
+    replaced, ``add(ce, mul_scalar(orthogonal_loss(ids), lam))``. The
+    identifiers feed the logits too, so their gradient sums a logits term
+    and the penalty's term, in the chain's order."""
+
+    @staticmethod
+    def graph(seed, frozen_ids):
+        """(ids, logits-building function, labels, trainable tensors)."""
+        rng = np.random.default_rng(seed)
+        ids = tensor(rng.standard_normal((3, 4)), rg=not frozen_ids)
+        a = tensor(rng.standard_normal((5, 3)), rg=False)
+        w = tensor(rng.standard_normal((4, 3)))
+        b = tensor(rng.standard_normal(3))
+        labels = rng.integers(0, 3, size=5)
+        params = [w, b] if frozen_ids else [ids, w, b]
+        return ids, lambda: linear_forward(matmul(a, ids), w, b), labels, params
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           lam=st.sampled_from([None, 1e-3, 0.37, 1.0, 12.5]),
+           frozen_ids=st.booleans())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_the_chain_bit_for_bit(self, seed, lam, frozen_ids):
+        ids, logits, labels, params = self.graph(seed, frozen_ids)
+
+        def op():
+            if lam is None:
+                return softmax_cross_entropy(logits(), labels)
+            return softmax_cross_entropy(logits(), labels, orthogonal_loss(ids), lam)
+
+        def chain():
+            ce = softmax_cross_entropy(logits(), labels)
+            if lam is None:
+                return ce
+            return add(ce, mul_scalar(orthogonal_loss(ids), lam))
+
+        results = []
+        for f in (chain, op):
+            for t in params:
+                t.grad = None
+            out = f()
+            out.backward()
+            results.append((out.data.copy(), [t.grad.copy() for t in params]))
+        (want, want_grads), (got, got_grads) = results
+        assert np.array_equal(got, want)
+        assert all(np.array_equal(g, w) for g, w in zip(got_grads, want_grads))
+        assert grad_check(op, params, eps=1e-5) < 1e-5
+
+    def test_overflow_of_the_weighted_penalty_is_numeric_error(self):
+        ids = tensor(np.ones((30, 4)))   # 870 squared cosines of 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="^loss: overflow"):
+                softmax_cross_entropy(tensor([[0.0, 1.0]]), np.array([1]),
+                                      orthogonal_loss(ids), 1e307)
+
+    def test_penalty_must_be_a_scalar(self):
+        with pytest.raises(DimensionError):
+            softmax_cross_entropy(tensor([[0.0, 1.0]]), np.array([1]),
+                                  tensor([1.0, 2.0]), 1.0)
 
 
 class TestMaskedSoftmax:
@@ -456,20 +519,32 @@ class TestTapeInvariants:
             tensor([[1.0, 2.0]]).backward()
 
 
+def called_names(tree):
+    return {getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in ast.walk(tree) if isinstance(n, ast.Call)}
+
+
+def recorded_ops(source):
+    """Public functions of ``source`` that record a graph node (call ``_op``)."""
+    return {f.name for f in ast.parse(source.read_text(encoding="utf-8")).body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            and "_op" in called_names(f)}
+
+
+def test_the_engine_records_only_the_model_ops():
+    """The loss, the encoder layer and the token sum: the generic ops the
+    model outgrew live in ``tests/chain_ops.py``."""
+    assert recorded_ops(Path(autodiff.__file__)) == {
+        "softmax_cross_entropy", "encoder_layer", "aggregate_tokens"}
+
+
 def test_every_public_op_has_a_caller_in_another_package_module():
     """The engine holds only the ops the package runs: each public function
     of ``autodiff.py`` that records a node is called from another module of
     the package. The reference chains live in ``tests/``."""
     allowed = {"aggregate_tokens": "criterion 9"}
     source = Path(autodiff.__file__)
-
-    def called_names(tree):
-        return {getattr(n.func, "id", getattr(n.func, "attr", None))
-                for n in ast.walk(tree) if isinstance(n, ast.Call)}
-
-    ops = {f.name for f in ast.parse(source.read_text(encoding="utf-8")).body
-           if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
-           and "_op" in called_names(f)}
+    ops = recorded_ops(source)
     assert "encoder_layer" in ops and set(allowed) <= ops
     called = set()
     for path in source.parent.glob("*.py"):

@@ -10,8 +10,8 @@ import tracemalloc
 
 import numpy as np
 
+from chain_ops import sum_all
 from test_model import random_batch, small_model
-from tokentab.autodiff import sum_all
 from tokentab.data import RawDataset, encode, fit_schema
 from tokentab.model import ModelConfig
 from tokentab.optim import Adam
@@ -88,6 +88,13 @@ def test_wide_finetune_step_records_at_most_11_ops():
     and the sum."""
     model, cfg, batch = wide_finetune_step()
     assert len(ops(total_loss(batch, model, cfg).backward())) <= 11
+
+
+def test_wide_finetune_step_records_at_most_9_ops():
+    """The pretraining step's L + 5 ops plus the orthogonality term: its
+    weight and sum are part of the loss node."""
+    model, cfg, batch = wide_finetune_step()
+    assert len(ops(total_loss(batch, model, cfg).backward())) <= 3 + 6
 
 
 class _AddWithoutScatter:

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +302,10 @@ class TestSettingsExitCodes:
           "--steps_per_epoch", "0"], "steps_per_epoch"),
         (["finetune", "--data", "d", "--checkpoint", "c", "--trainable", "nope"],
          "trainable"),
+        (["grad-check", "--tolerance", "0"], "tolerance"),
+        (["grad-check", "--tolerance", "-1"], "tolerance"),
+        (["finetune", "--data", "d", "--checkpoint", "c", "--seeds", "0,1,0"],
+         "seed 0"),
     ])
     def test_unusable_setting_is_usage_error(self, tmp_path, capsys, argv, named):
         if argv[0] in ("pretrain", "finetune"):
@@ -306,6 +313,24 @@ class TestSettingsExitCodes:
         assert main(argv) == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seeds, named", [
+    ("0,1,0", "seed 0 more than once"),
+    ("-1", "seeds >= 0"),
+    ("0,x", "invalid value"),
+])
+def test_compare_variants_reads_seeds_by_the_finetune_rule(monkeypatch, capsys,
+                                                           seeds, named):
+    """``scripts/compare_variants.py`` refuses the seed lists ``finetune``
+    refuses, as a usage error before it reads any file."""
+    script = Path(__file__).parents[1] / "scripts" / "compare_variants.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--data", "d",
+                                      "--checkpoint", "c", f"--seeds={seeds}"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    assert stop.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def _drop_shape(header, body):

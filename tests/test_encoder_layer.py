@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_ops import mul, sum_all
 from encoder_oracle import layer_chain
 from tokentab import autodiff
 from tokentab.autodiff import (
@@ -14,9 +15,7 @@ from tokentab.autodiff import (
     NumericError,
     Tensor,
     encoder_layer,
-    mul,
     no_grad,
-    sum_all,
 )
 from tokentab.gradcheck import grad_check
 from tokentab.model import EncoderLayer, encoder_forward

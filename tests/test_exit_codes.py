@@ -1,6 +1,6 @@
 """Exit codes of ``main()`` on damaged inputs: CSV contents, huge weights
-in the encoder and the head, well-formed categorical tables and a
-non-finite token-table gradient.
+in the encoder and the head, a huge orthogonality weight, well-formed
+categorical tables and a non-finite token-table gradient.
 
 Every input maps to 0 (ok), 1 (usage), 2 (data) or 3 (numeric), with a
 message naming where it went wrong, and never to a traceback or a numpy
@@ -91,10 +91,10 @@ def mixed_csv_text(rows=40, seed=2):
     return "\n".join(lines) + "\n"
 
 
-def finetune(checkpoint, descriptor, out):
+def finetune(checkpoint, descriptor, out, *flags):
     return main(["finetune", "--data", str(descriptor), "--checkpoint",
                  str(checkpoint), "--out", str(out), "--epochs", "1",
-                 "--steps_per_epoch", "1", "--seeds", "0"])
+                 "--steps_per_epoch", "1", "--seeds", "0", *flags])
 
 
 def evaluate(checkpoint, descriptor):
@@ -205,6 +205,19 @@ def test_huge_head_parameter_is_numeric_error_naming_the_block(
     capsys.readouterr()
     assert finetune(ckpt, descriptor, tmp_path / "ft") == EXIT_NUMERIC
     assert f"numeric error: {block}: overflow" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_orthogonality_weight_is_numeric_error_naming_the_block(
+        checkpoints, tmp_path, capsys):
+    """Two categorical columns make the penalty 2 cos^2 of their identifiers,
+    well under 1 here, so 1e308 times it stays finite in the loss; the
+    penalty's backward overflows."""
+    descriptor = write_csv(tmp_path, mixed_csv_text().encode("utf-8"))
+    capsys.readouterr()
+    assert finetune(checkpoints[0], descriptor, tmp_path / "ft",
+                    "--lambda_orth", "1e308") == EXIT_NUMERIC
+    assert "numeric error: orthogonality: overflow" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

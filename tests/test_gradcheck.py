@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tokentab.autodiff import NumericError, Tensor, _op, mul, softmax_cross_entropy, sum_all
+from chain_ops import mul, sum_all
+from tokentab.autodiff import NumericError, Tensor, _op, softmax_cross_entropy
 from tokentab.gradcheck import component_checks, grad_check
 
 

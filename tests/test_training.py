@@ -38,10 +38,12 @@ class TestTotalLoss:
             n_classes=2,
         )
 
-    def build(self, tiny_backbone, variant="full", lambda_orth=1.0):
+    def build(self, tiny_backbone, variant="full", lambda_orth=1.0,
+              trainable="ft_layer_only"):
         raw = make_rule_dataset(rows=40, seed=1)
         train, _, schema = encoded_halves(raw)
-        cfg = FinetuneConfig(variant=variant, lambda_orth=lambda_orth, seed=0)
+        cfg = FinetuneConfig(variant=variant, lambda_orth=lambda_orth, seed=0,
+                             trainable=trainable)
         model = build_finetune_model(tiny_backbone, schema, 2, cfg)
         return model, cfg, train
 
@@ -97,6 +99,44 @@ class TestTotalLoss:
         assert model.tokenizer.identifiers is None
         batch = sample_episode(train, np.random.default_rng(0), 0.7)
         assert np.isfinite(total_loss(batch, model, cfg).item())
+
+    @pytest.mark.parametrize("variant, lambda_orth, trainable", [
+        ("full", 1.0, "ft_layer_only"),
+        ("full", 0.37, "full_model"),
+        ("no_regularization", 1.0, "ft_layer_only"),
+        ("no_identifiers", 1.0, "full_model"),
+    ])
+    def test_one_loss_node_matches_the_chain_bit_for_bit(
+            self, tiny_backbone, variant, lambda_orth, trainable):
+        """The value and every gradient of ``total_loss`` equal those of the
+        chain it replaced: the cross-entropy plus the weighted penalty
+        through ``add`` and ``mul_scalar``."""
+        from chain_ops import add, mul_scalar
+        from tokentab.autodiff import softmax_cross_entropy
+        from tokentab.tokenizer import orthogonal_loss
+
+        model, cfg, train = self.build(tiny_backbone, variant, lambda_orth, trainable)
+        batch = sample_episode(train, np.random.default_rng(0), 0.7)
+        ids, lam = model.tokenizer.identifiers, cfg.effective_lambda
+
+        def chain():
+            ce = softmax_cross_entropy(model.predict_logits(batch), batch.query_y)
+            if lam > 0.0 and ids is not None:
+                return add(ce, mul_scalar(orthogonal_loss(ids), lam))
+            return ce
+
+        runs = []
+        for f in (chain, lambda: total_loss(batch, model, cfg)):
+            for _, t in model.named_tensors():
+                t.grad = None
+            out = f()
+            out.backward()
+            runs.append((out.data, {n: t.grad for n, t in model.named_tensors()
+                                    if t.grad is not None}))
+        (want, want_grads), (got, got_grads) = runs
+        assert np.array_equal(got, want)
+        assert got_grads.keys() == want_grads.keys()
+        assert all(np.array_equal(got_grads[n], want_grads[n]) for n in want_grads)
 
     def test_episode_metrics_match_separate_forwards_exactly(self, tiny_backbone):
         from tokentab.metrics import accuracy, roc_auc_ovo

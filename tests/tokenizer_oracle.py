@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from chain_ops import outer_scale_row
+from chain_ops import add, mul_scalar, outer_scale_row
 from tokentab.autodiff import (
     DimensionError,
     NumericError,
     Tensor,
     _op,
-    add,
     aggregate_tokens,
-    mul_scalar,
 )
 from tokentab.tokenizer import (
     NAN_ROW,
