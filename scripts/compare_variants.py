@@ -3,16 +3,19 @@
 
 The table reports per-seed and mean one-vs-one AUC plus the rank of each
 variant; which variant wins is an empirical question, so nothing here
-asserts an ordering.
+asserts an ordering. Unusable flags exit 2 before any file is read; data
+errors exit 2 and numeric failures exit 3, each with one message line.
 
 Usage: python scripts/compare_variants.py --data data/rule.descriptor \
            --checkpoint runs/pretrain/checkpoint.ckpt --epochs 30
 """
 
 import argparse
+import sys
 
+from tokentab.autodiff import NumericError
 from tokentab.checkpoint import load_checkpoint, rebuild_model
-from tokentab.cli import load_descriptor
+from tokentab.cli import DATA_ERRORS, EXIT_DATA, EXIT_NUMERIC, load_descriptor
 from tokentab.config import ConfigError, FinetuneSettings
 from tokentab.training import FinetuneConfig, run_protocol
 
@@ -23,26 +26,36 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--data", required=True, help="dataset descriptor file")
     ap.add_argument("--checkpoint", required=True, help="pretrained checkpoint")
-    ap.add_argument("--epochs", type=int, default=30)
-    ap.add_argument("--lr", type=float, default=1e-3)
-    ap.add_argument("--lambda_orth", type=float, default=1.0)
-    ap.add_argument("--steps_per_epoch", type=int, default=4)
-    ap.add_argument("--seeds", default="0,1,2,3,4")
+    ap.add_argument("--epochs", type=int, default=FinetuneConfig.epochs)
+    ap.add_argument("--lr", type=float, default=FinetuneConfig.lr)
+    ap.add_argument("--lambda_orth", type=float, default=FinetuneConfig.lambda_orth)
+    ap.add_argument("--steps_per_epoch", type=int,
+                    default=FinetuneConfig.steps_per_epoch)
+    ap.add_argument("--seeds", default=FinetuneSettings.seeds)
     args = ap.parse_args()
 
-    try:
+    try:   # a ConfigError is a ValueError too
         seeds = FinetuneSettings(seeds=args.seeds).seed_list()
-    except ConfigError as exc:
+        configs = {v: FinetuneConfig(epochs=args.epochs, lr=args.lr,
+                                     lambda_orth=args.lambda_orth, variant=v,
+                                     steps_per_epoch=args.steps_per_epoch)
+                   for v in VARIANTS}
+    except ValueError as exc:
         ap.error(str(exc))
-    backbone = rebuild_model(load_checkpoint(args.checkpoint))
-    raw = load_descriptor(args.data)
 
-    reports = {}
-    for variant in VARIANTS:
-        cfg = FinetuneConfig(epochs=args.epochs, lr=args.lr,
-                             lambda_orth=args.lambda_orth, variant=variant,
-                             steps_per_epoch=args.steps_per_epoch)
-        reports[variant], _ = run_protocol(raw, backbone, cfg, seeds=seeds)
+    try:
+        backbone = rebuild_model(load_checkpoint(args.checkpoint))
+        raw = load_descriptor(args.data)
+        reports = {v: run_protocol(raw, backbone, configs[v], seeds=seeds)[0]
+                   for v in VARIANTS}
+    except ConfigError as exc:   # an unusable descriptor
+        ap.error(str(exc))
+    except DATA_ERRORS as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     means = {v: reports[v].mean_auc for v in VARIANTS}
     order = sorted(VARIANTS, key=lambda v: -means[v])
@@ -54,7 +67,8 @@ def main():
         per_seed = "  ".join(f"{r.auc:6.4f}" for r in reports[v].results)
         print(f"{v:<20} {per_seed}  {means[v]:9.4f} "
               f"{reports[v].mean_accuracy:9.4f} {rank[v]:>5}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

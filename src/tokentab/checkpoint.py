@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def save_checkpoint(path, model: InContextClassifier, kind: str,
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "model_config": model.config.to_dict(),
+        "model_config": asdict(model.config),
         "table_sizes": list(model.tokenizer.table.sizes),
         "params": [
             {"name": n, "shape": list(t.shape), "requires_grad": t.requires_grad}

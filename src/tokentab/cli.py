@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,10 @@ from .checkpoint import (
 )
 from .config import (
     FIELD_TYPES,
+    FINETUNE,
+    GRAD_CHECK,
+    PRETRAIN,
     ConfigError,
-    FinetuneSettings,
-    GradCheckSettings,
-    PretrainSettings,
     as_kv,
     read_kv_file,
     render_kv,
@@ -37,10 +37,9 @@ from .config import (
 from .data import ParseError, encode, load_csv, split_train_test
 from .gradcheck import component_checks
 from .metrics import UndefinedMetricError, accuracy, roc_auc_ovo
-from .model import ModelConfig
-from .prior import PriorConfig, build_pretraining_model, pretrain
+from .prior import build_pretraining_model, pretrain
 from .tokenizer import SchemaError, category_gram_matrix, identifier_gram_matrix
-from .training import FinetuneConfig, full_support_episode, run_protocol
+from .training import full_support_episode, run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,33 +48,29 @@ EXIT_NUMERIC = 3
 
 DESCRIPTOR_KEYS = {"csv", "target", "categorical", "name"}
 
+#: the errors of unusable input files, reported with exit code 2
+DATA_ERRORS = (ParseError, SchemaError, CheckpointError, UndefinedMetricError,
+               OSError)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems become exit code 1, not 2
         raise ConfigError(message)
 
 
-def _add_settings_flags(parser, cls) -> None:
-    for f in fields(cls):
-        parser.add_argument(f"--{f.name}", type=FIELD_TYPES[f.type], default=None,
-                            help=f"(default: {f.default})")
+def _add_settings_flags(parser, bindings) -> None:
+    for binding in bindings:
+        for key, f in binding.keyed():
+            parser.add_argument(
+                f"--{key}", type=FIELD_TYPES[f.type], default=None,
+                help=f"(default: {getattr(binding.defaults, f.name)})")
 
 
-def _settings_from_args(cls, args) -> object:
+def _settings_from_args(bindings, args) -> tuple:
     file_map = read_kv_file(args.config) if args.config else None
-    overrides = {f.name: getattr(args, f.name) for f in fields(cls)}
-    return resolve(cls, file_map, overrides)
-
-
-def _model_config(settings) -> ModelConfig:
-    try:
-        return ModelConfig(
-            embed_dim=settings.embed_dim, layers=settings.layers,
-            heads=settings.heads, ff_dim=settings.ff_dim,
-            max_classes=settings.max_classes,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    overrides = {key: getattr(args, key)
+                 for binding in bindings for key, _ in binding.keyed()}
+    return resolve(bindings, file_map, overrides)
 
 
 def _seed(text: str) -> int:
@@ -96,8 +91,10 @@ def _write_jsonl(path: Path, records) -> None:
     )
 
 
-def _write_resolved(out_dir: Path, settings, name: str = "config.resolved") -> None:
-    (out_dir / name).write_text(render_kv(as_kv(settings)), encoding="utf-8")
+def _write_resolved(out_dir: Path, bindings, objects,
+                    name: str = "config.resolved") -> None:
+    (out_dir / name).write_text(render_kv(as_kv(bindings, objects)),
+                                encoding="utf-8")
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
@@ -128,25 +125,9 @@ def load_descriptor(path):
 # ---------------------------------------------------------------------------
 
 def cmd_pretrain(args) -> int:
-    settings = _settings_from_args(PretrainSettings, args)
-    model_cfg = _model_config(settings)
-    try:
-        prior = PriorConfig(
-            max_features=settings.prior_max_features,
-            max_categories=settings.prior_max_categories,
-            min_classes=settings.prior_classes_min,
-            max_classes=settings.prior_classes_max,
-            min_samples=settings.prior_samples_min,
-            max_samples=settings.prior_samples_max,
-            noise=settings.prior_noise,
-            weight_linear=settings.prior_weight_linear,
-            weight_mlp=settings.prior_weight_mlp,
-            weight_rule=settings.prior_weight_rule,
-            min_class_fraction=settings.prior_min_class_fraction,
-            seed=settings.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    resolved = _settings_from_args(PRETRAIN, args)
+    settings, model_cfg, prior = resolved
+    prior = replace(prior, seed=settings.seed)
     if prior.max_classes > model_cfg.max_classes:
         raise ConfigError("key 'prior_classes_max' exceeds key 'max_classes'")
     out = Path(args.out)
@@ -161,7 +142,7 @@ def cmd_pretrain(args) -> int:
     records.append({"holdout_start": log["holdout_start"],
                     "holdout_end": log["holdout_end"]})
     _write_jsonl(out / "pretrain_log.jsonl", records)
-    _write_resolved(out, settings)
+    _write_resolved(out, PRETRAIN, resolved)
     print(f"pretrained for {settings.episodes} episodes -> {out / 'checkpoint.ckpt'}")
     if log["holdout_start"] is not None:
         print(f"holdout loss {log['holdout_start']:.4f} -> {log['holdout_end']:.4f}")
@@ -169,24 +150,15 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    settings = _settings_from_args(FinetuneSettings, args)
+    resolved = _settings_from_args(FINETUNE, args)
+    settings, cfg = resolved
     seeds = settings.seed_list()
-    try:
-        cfg = FinetuneConfig(
-            epochs=settings.epochs, lr=settings.lr,
-            lambda_orth=settings.lambda_orth, variant=settings.variant,
-            trainable=settings.trainable,
-            support_fraction=settings.support_fraction,
-            steps_per_epoch=settings.steps_per_epoch, seed=seeds[0],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     backbone = rebuild_model(load_checkpoint(args.checkpoint))
     raw = load_descriptor(args.data)
     report, details = run_protocol(raw, backbone, cfg, seeds=seeds)
-    suffix = settings.variant
+    suffix = cfg.variant
     _write_jsonl(out / f"report_{suffix}.jsonl", report.to_records())
     (out / f"report_{suffix}.txt").write_text(
         f"variant: {suffix}\n{report.summary_table()}\n", encoding="utf-8")
@@ -199,9 +171,9 @@ def cmd_finetune(args) -> int:
             schema=detail.schema, stats=detail.stats,
             label_names=raw.label_names,
             extra={"variant": suffix, "split_seed": detail.seed,
-                   "finetune": asdict(cfg)},
+                   "finetune": asdict(replace(cfg, seed=detail.seed))},
         )
-    _write_resolved(out, settings, name=f"config_{suffix}.resolved")
+    _write_resolved(out, FINETUNE, resolved, name=f"config_{suffix}.resolved")
     print(f"variant: {suffix}")
     print(report.summary_table())
     return EXIT_OK
@@ -266,13 +238,10 @@ def cmd_export_heatmaps(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    settings = _settings_from_args(GradCheckSettings, args)
-    _model_config(settings)   # reject unusable sizes before any check runs
-    results = component_checks(
-        seed=settings.seed, eps=settings.eps, embed_dim=settings.embed_dim,
-        layers=settings.layers, heads=settings.heads, ff_dim=settings.ff_dim,
-        max_classes=settings.max_classes,
-    )
+    resolved = _settings_from_args(GRAD_CHECK, args)
+    settings, model_cfg = resolved
+    results = component_checks(seed=settings.seed, eps=settings.eps,
+                               config=model_cfg)
     lines = []
     failed = False
     for name, err in results.items():
@@ -286,7 +255,7 @@ def cmd_grad_check(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "gradcheck.txt").write_text(text + "\n", encoding="utf-8")
-        _write_resolved(out, settings)
+        _write_resolved(out, GRAD_CHECK, resolved)
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
@@ -302,7 +271,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="pretrain on the synthetic prior")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="output directory")
-    _add_settings_flags(p, PretrainSettings)
+    _add_settings_flags(p, PRETRAIN)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="run the seeded fine-tune protocol")
@@ -310,7 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset descriptor file")
     p.add_argument("--checkpoint", required=True, help="pretrained checkpoint")
     p.add_argument("--out", required=True, help="output directory")
-    _add_settings_flags(p, FinetuneSettings)
+    _add_settings_flags(p, FINETUNE)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="score a fine-tuned checkpoint")
@@ -331,7 +300,7 @@ def build_parser() -> _Parser:
                        help="finite-difference check of all model gradients")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", default=None, help="optional output directory")
-    _add_settings_flags(p, GradCheckSettings)
+    _add_settings_flags(p, GRAD_CHECK)
     p.set_defaults(func=cmd_grad_check)
 
     return parser
@@ -345,8 +314,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, SchemaError, CheckpointError, UndefinedMetricError,
-            OSError) as exc:
+    except DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -1,8 +1,11 @@
 """Flat key=value configuration files and their dataclass bindings.
 
-One key per line, ``key = value``, ``#`` starts a comment. Command-line
-flags mirror the keys one-to-one and override the file. The fully resolved
-mapping is written into every output directory for provenance.
+One key per line, ``key = value``, ``#`` starts a comment. A command's
+keys are the fields of the configuration dataclasses it builds, keyed by
+its binding list (``PRETRAIN``, ``FINETUNE``, ``GRAD_CHECK``); each field's
+dataclass holds its type, default and check. Command-line flags mirror the
+keys one-to-one and override the file. The fully resolved mapping is
+written into every output directory for provenance.
 """
 
 from __future__ import annotations
@@ -10,6 +13,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+
+from .gradcheck import GRAD_CHECK_MODEL
+from .model import ModelConfig
+from .prior import PriorConfig
+from .training import FinetuneConfig
 
 
 class ConfigError(ValueError):
@@ -39,9 +47,38 @@ def render_kv(mapping: dict) -> str:
 FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
-def resolve(cls, file_map: dict[str, str] | None, overrides: dict | None):
-    """Defaults, then file values, then non-None flag overrides."""
-    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+@dataclass(frozen=True)
+class Binding:
+    """How one configuration dataclass is keyed.
+
+    Field ``name`` of ``defaults`` is the key ``prefix + name`` unless
+    ``spelled`` names it otherwise, and the fields in ``unkeyed`` are not
+    keys. ``defaults`` is the instance a command starts from.
+    """
+
+    defaults: object
+    prefix: str = ""
+    spelled: tuple[tuple[str, str], ...] = ()
+    unkeyed: tuple[str, ...] = ()
+
+    def keyed(self) -> list[tuple[str, dataclasses.Field]]:
+        """(key, field) of every keyed field, in declaration order."""
+        spelled = dict(self.spelled)
+        return [(spelled.get(f.name, self.prefix + f.name), f)
+                for f in dataclasses.fields(self.defaults)
+                if f.name not in self.unkeyed]
+
+    def build(self, values: dict):
+        """``defaults`` with the keyed ``values`` given; checks on creation."""
+        return dataclasses.replace(self.defaults, **{
+            f.name: values[key] for key, f in self.keyed() if key in values})
+
+
+def resolve(bindings, file_map: dict[str, str] | None,
+            overrides: dict | None) -> tuple:
+    """Defaults, then file values, then non-None flag overrides: one
+    instance per binding, each built and checked in binding order."""
+    field_types = {key: f.type for b in bindings for key, f in b.keyed()}
     values = {}
     for key, text in (file_map or {}).items():
         if key not in field_types:
@@ -60,7 +97,7 @@ def resolve(cls, file_map: dict[str, str] | None, overrides: dict | None):
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"non-finite value {value!r} for key {key!r}")
     try:
-        return cls(**values)
+        return tuple(b.build(values) for b in bindings)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -71,11 +108,14 @@ def _check_at_least(settings, key: str, low: int) -> None:
         raise ConfigError(f"key {key!r} must be >= {low}, got {value}")
 
 
-def as_kv(settings) -> dict[str, str]:
+def as_kv(bindings, objects) -> dict[str, str]:
+    """The key = value text of every keyed field of ``objects``, each the
+    instance of its binding."""
     out = {}
-    for f in dataclasses.fields(settings):
-        value = getattr(settings, f.name)
-        out[f.name] = repr(value) if isinstance(value, float) else str(value)
+    for binding, obj in zip(bindings, objects):
+        for key, f in binding.keyed():
+            value = getattr(obj, f.name)
+            out[key] = repr(value) if isinstance(value, float) else str(value)
     return out
 
 
@@ -86,22 +126,6 @@ class PretrainSettings:
     lr: float = 1e-3
     holdout: int = 20
     log_every: int = 50
-    embed_dim: int = 64
-    layers: int = 3
-    heads: int = 4
-    ff_dim: int = 128
-    max_classes: int = 4
-    prior_max_features: int = 5
-    prior_max_categories: int = 6
-    prior_classes_min: int = 2
-    prior_classes_max: int = 3
-    prior_samples_min: int = 48
-    prior_samples_max: int = 96
-    prior_noise: float = 0.05
-    prior_weight_linear: float = 0.4
-    prior_weight_mlp: float = 0.3
-    prior_weight_rule: float = 0.3
-    prior_min_class_fraction: float = 0.05
 
     def __post_init__(self):
         for key in ("seed", "episodes", "holdout"):
@@ -112,13 +136,9 @@ class PretrainSettings:
 @dataclass(frozen=True)
 class FinetuneSettings:
     seeds: str = "0,1,2,3,4"
-    epochs: int = 30
-    lr: float = 1e-3
-    lambda_orth: float = 1.0
-    variant: str = "full"
-    trainable: str = "ft_layer_only"
-    support_fraction: float = 0.7
-    steps_per_epoch: int = 4
+
+    def __post_init__(self):
+        self.seed_list()
 
     def seed_list(self) -> tuple[int, ...]:
         try:
@@ -140,11 +160,6 @@ class GradCheckSettings:
     seed: int = 0
     eps: float = 1e-5
     tolerance: float = 1e-4
-    embed_dim: int = 8
-    layers: int = 2
-    heads: int = 2
-    ff_dim: int = 16
-    max_classes: int = 3
 
     def __post_init__(self):
         _check_at_least(self, "seed", 0)
@@ -153,3 +168,17 @@ class GradCheckSettings:
         # the bounds grad_check itself enforces
         if not 0.0 < self.eps <= 1e-3:
             raise ConfigError(f"key 'eps' must be in (0, 1e-3], got {self.eps!r}")
+
+
+#: each command's settings, then the runtime configs it builds; the seed of
+#: a prior or a fine-tune repetition comes from the command's own seed keys
+PRETRAIN = (
+    Binding(PretrainSettings()),
+    Binding(ModelConfig()),
+    Binding(PriorConfig(), prefix="prior_", unkeyed=("seed",), spelled=(
+        ("min_classes", "prior_classes_min"), ("max_classes", "prior_classes_max"),
+        ("min_samples", "prior_samples_min"), ("max_samples", "prior_samples_max"))),
+)
+FINETUNE = (Binding(FinetuneSettings()),
+            Binding(FinetuneConfig(), unkeyed=("seed",)))
+GRAD_CHECK = (Binding(GradCheckSettings()), Binding(GRAD_CHECK_MODEL))

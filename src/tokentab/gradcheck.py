@@ -97,16 +97,21 @@ def _sum_of_squares(t: Tensor, penalty: Tensor | None = None) -> Tensor:
     return _op(out_data, (t,) if penalty is None else (t, penalty), backward)
 
 
-def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
-                     layers: int = 2, heads: int = 2, ff_dim: int = 16,
-                     max_classes: int = 3) -> dict[str, float]:
-    """Gradient-check the token layer, encoder, label embedder and full loss.
+#: deliberately tiny sizes, so exhaustive central differences finish in seconds
+GRAD_CHECK_MODEL = ModelConfig(embed_dim=8, layers=2, heads=2, ff_dim=16,
+                               max_classes=3)
 
-    Uses deliberately tiny dimensions so exhaustive central differences
-    finish in seconds. Returns the max relative error per component.
+
+def component_checks(seed: int = 0, eps: float = 1e-5,
+                     config: ModelConfig = GRAD_CHECK_MODEL) -> dict[str, float]:
+    """Gradient-check the token layer, encoder, label embedder and full loss
+    of a model of ``config``'s sizes.
+
+    Returns the max relative error per component.
     """
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
+    embed_dim = config.embed_dim
 
     # token layer: squared embeddings plus the identifier penalty
     tok = FeatureTokenizer.create(n=2, vocab_sizes=(2, 3), dim=embed_dim, rng=rng)
@@ -123,7 +128,8 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
         ft_target, [tok.w_num, tok.table.weights, tok.identifiers], eps=eps)
 
     # encoder stack over 2 supports and 2 queries
-    stack = [EncoderLayer.create(embed_dim, heads, ff_dim, rng) for _ in range(layers)]
+    stack = [EncoderLayer.create(embed_dim, config.heads, config.ff_dim, rng)
+             for _ in range(config.layers)]
     x = Tensor(rng.standard_normal((4, embed_dim)), requires_grad=True)
 
     def encoder_target():
@@ -147,8 +153,6 @@ def component_checks(seed: int = 0, eps: float = 1e-5, embed_dim: int = 8,
                                            eps=eps)
 
     # full episode loss with the orthogonality term active
-    config = ModelConfig(embed_dim=embed_dim, layers=layers, heads=heads,
-                         ff_dim=ff_dim, max_classes=max_classes)
     model = InContextClassifier.create(config, 2, (2, 3), rng)
     batch = SupportQueryBatch(
         support_num=rng.standard_normal((3, 2)),

@@ -10,7 +10,7 @@ prediction records no backward graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class ModelConfig:
     max_classes: int = 4
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
+        for name, value in asdict(self).items():
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.embed_dim, self.heads, self.ff_dim) < 1:
@@ -50,15 +50,6 @@ class ModelConfig:
             raise ValueError("layers must be >= 1")
         if self.max_classes < 2:
             raise ValueError("max_classes must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "ff_dim": self.ff_dim,
-            "max_classes": self.max_classes,
-        }
 
 
 @dataclass

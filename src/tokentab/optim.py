@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, numeric_guard
+from .autodiff import numeric_guard
 
 
 class Adam:
@@ -28,10 +28,6 @@ class Adam:
             for tensor in params
             if tensor.requires_grad   # frozen tensors are never touched
         ]
-
-    @property
-    def tensors(self) -> list[Tensor]:
-        return [e["tensor"] for e in self._entries]
 
     def zero_grad(self) -> None:
         for e in self._entries:

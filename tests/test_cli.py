@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,13 @@ import pytest
 from conftest import make_rule_dataset, write_dataset_csv
 
 from tokentab.checkpoint import load_checkpoint, rebuild_model
-from tokentab.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from tokentab.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                          load_descriptor, main)
+from tokentab.config import FINETUNE, GRAD_CHECK, PRETRAIN, as_kv, render_kv, resolve
+from tokentab.data import encode, split_train_test
+from tokentab.metrics import accuracy, roc_auc_ovo
 from tokentab.tokenizer import category_gram_matrix, identifier_gram_matrix
+from tokentab.training import full_support_episode
 
 SMALL_PRETRAIN = [
     "--episodes", "12", "--embed_dim", "8", "--layers", "1", "--heads", "2",
@@ -145,8 +151,60 @@ class TestFinetuneCommand:
                                   variant="nope")
         assert main(args) == EXIT_USAGE
 
+    def test_each_checkpoint_records_its_own_seed(self, tmp_path,
+                                                  dataset_descriptor, capsys):
+        ckpt = run_pretrain(tmp_path / "pre")
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(dataset_descriptor),
+                     "--checkpoint", str(ckpt), "--out", str(out),
+                     "--epochs", "1", "--steps_per_epoch", "1",
+                     "--seeds", "2,0"]) == EXIT_OK
+        for seed in (2, 0):
+            extra = load_checkpoint(out / f"checkpoint_full_seed{seed}.ckpt").extra
+            assert extra["split_seed"] == seed
+            assert extra["finetune"]["seed"] == seed
+
 
 class TestEvaluateCommand:
+    @staticmethod
+    def finetuned(tmp_path, descriptor):
+        """The seed-0 checkpoint of a one-epoch fine-tune."""
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(descriptor),
+                     "--checkpoint", str(run_pretrain(tmp_path / "pre")),
+                     "--out", str(out), "--epochs", "1", "--steps_per_epoch", "1",
+                     "--seeds", "0"]) == EXIT_OK
+        return out / "checkpoint_full_seed0.ckpt"
+
+    def test_out_dir_holds_the_printed_result_and_its_inputs(
+            self, tmp_path, dataset_descriptor, capsys):
+        ckpt = self.finetuned(tmp_path, dataset_descriptor)
+        out = tmp_path / "ev"
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(dataset_descriptor),
+                     "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert (out / "evaluation.json").read_text() == printed
+        assert json.loads(printed)["split_seed"] == 0
+        assert (out / "config.resolved").read_text() == (
+            f"checkpoint = {ckpt}\ndata = {dataset_descriptor}\nsplit_seed = 0\n")
+
+    def test_split_seed_flag_scores_that_split(self, tmp_path, dataset_descriptor,
+                                               capsys):
+        ckpt_path = self.finetuned(tmp_path, dataset_descriptor)
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(dataset_descriptor),
+                     "--checkpoint", str(ckpt_path), "--split-seed", "3"]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        ckpt = load_checkpoint(ckpt_path)
+        train_raw, test_raw = split_train_test(load_descriptor(dataset_descriptor), 3)
+        train = encode(train_raw, ckpt.schema, ckpt.stats)
+        test = encode(test_raw, ckpt.schema, ckpt.stats)
+        probs = rebuild_model(ckpt).predict_proba(full_support_episode(train, test)).data
+        assert result == {"split_seed": 3, "auc_ovo": roc_auc_ovo(probs, test.labels),
+                          "accuracy": accuracy(probs, test.labels),
+                          "test_rows": len(test)}
+
     def test_evaluate_reports_metrics(self, tmp_path, dataset_descriptor, capsys):
         ckpt = run_pretrain(tmp_path / "pre")
         out = tmp_path / "ft"
@@ -315,6 +373,85 @@ class TestSettingsExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+#: every key of each command with its default, as a default config.resolved
+#: renders them
+DEFAULT_RESOLVED = {
+    "pretrain": (PRETRAIN, """\
+embed_dim = 64
+episodes = 2000
+ff_dim = 128
+heads = 4
+holdout = 20
+layers = 3
+log_every = 50
+lr = 0.001
+max_classes = 4
+prior_classes_max = 3
+prior_classes_min = 2
+prior_max_categories = 6
+prior_max_features = 5
+prior_min_class_fraction = 0.05
+prior_noise = 0.05
+prior_samples_max = 96
+prior_samples_min = 48
+prior_weight_linear = 0.4
+prior_weight_mlp = 0.3
+prior_weight_rule = 0.3
+seed = 0
+"""),
+    "finetune": (FINETUNE, """\
+epochs = 30
+lambda_orth = 1.0
+lr = 0.001
+seeds = 0,1,2,3,4
+steps_per_epoch = 4
+support_fraction = 0.7
+trainable = ft_layer_only
+variant = full
+"""),
+    "grad-check": (GRAD_CHECK, """\
+embed_dim = 8
+eps = 1e-05
+ff_dim = 16
+heads = 2
+layers = 2
+max_classes = 3
+seed = 0
+tolerance = 0.0001
+"""),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_RESOLVED))
+def test_default_keys_and_values_of_each_command(command):
+    bindings, text = DEFAULT_RESOLVED[command]
+    assert render_kv(as_kv(bindings, resolve(bindings, None, None))) == text
+
+
+@pytest.mark.parametrize("command, declared", [
+    ("pretrain", 5), ("finetune", 1), ("grad-check", 3)])
+def test_settings_classes_declare_no_runtime_config_key(command, declared):
+    """A command's settings class holds only the keys that none of the
+    ``ModelConfig``, ``PriorConfig`` or ``FinetuneConfig`` it builds has."""
+    settings, *runtime = DEFAULT_RESOLVED[command][0]
+    names = [f.name for f in fields(settings.defaults)]
+    keyed = [(key, f.name) for binding in runtime for key, f in binding.keyed()]
+    assert not set(names) & {word for pair in keyed for word in pair}
+    assert len({key for key, _ in keyed}) == len(keyed)
+    assert len(names) == declared
+
+
+COMPARE_VARIANTS = Path(__file__).parents[1] / "scripts" / "compare_variants.py"
+
+
+def run_compare_variants(monkeypatch, *argv):
+    """The exit code of ``scripts/compare_variants.py`` run with ``argv``."""
+    monkeypatch.setattr(sys, "argv", [str(COMPARE_VARIANTS), *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(COMPARE_VARIANTS), run_name="__main__")
+    return stop.value.code
+
+
 @pytest.mark.parametrize("seeds, named", [
     ("0,1,0", "seed 0 more than once"),
     ("-1", "seeds >= 0"),
@@ -324,13 +461,44 @@ def test_compare_variants_reads_seeds_by_the_finetune_rule(monkeypatch, capsys,
                                                            seeds, named):
     """``scripts/compare_variants.py`` refuses the seed lists ``finetune``
     refuses, as a usage error before it reads any file."""
-    script = Path(__file__).parents[1] / "scripts" / "compare_variants.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--data", "d",
-                                      "--checkpoint", "c", f"--seeds={seeds}"])
-    with pytest.raises(SystemExit) as stop:
-        runpy.run_path(str(script), run_name="__main__")
-    assert stop.value.code == 2
+    assert run_compare_variants(monkeypatch, "--data", "d", "--checkpoint", "c",
+                                f"--seeds={seeds}") == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, named", [
+    ("--epochs=-1", "epochs must be >= 0"),
+    ("--lambda_orth=-1", "lambda_orth must be >= 0"),
+    ("--steps_per_epoch=0", "steps_per_epoch must be >= 1"),
+])
+def test_compare_variants_refuses_settings_before_reading_files(
+        monkeypatch, capsys, flag, named):
+    assert run_compare_variants(monkeypatch, "--data", "d", "--checkpoint", "c",
+                                flag) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code, named", [
+    ("missing checkpoint", EXIT_DATA, "data error: "),
+    ("missing csv", EXIT_DATA, "data error: "),
+    ("huge orthogonality weight", EXIT_NUMERIC, "numeric error: orthogonality"),
+])
+def test_compare_variants_reports_package_errors_in_one_line(
+        tmp_path, dataset_descriptor, monkeypatch, capsys, case, code, named):
+    """Data errors exit 2 and numeric failures 3, as ``tokentab`` does."""
+    ckpt = run_pretrain(tmp_path / "pre")
+    argv = ["--data", str(dataset_descriptor), "--checkpoint", str(ckpt),
+            "--epochs", "1", "--steps_per_epoch", "1", "--seeds", "0"]
+    if case == "missing checkpoint":
+        argv[3] = str(tmp_path / "none.ckpt")
+    elif case == "missing csv":
+        (dataset_descriptor.parent / "data.csv").unlink()
+    else:
+        argv += ["--lambda_orth", "1e308"]
+    capsys.readouterr()
+    assert run_compare_variants(monkeypatch, *argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(named) and err.count("\n") == 1
 
 
 def _drop_shape(header, body):

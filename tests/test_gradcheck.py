@@ -4,6 +4,7 @@ import pytest
 from chain_ops import mul, sum_all
 from tokentab.autodiff import NumericError, Tensor, _op, softmax_cross_entropy
 from tokentab.gradcheck import component_checks, grad_check
+from tokentab.model import ModelConfig
 
 
 def test_quadratic_exact_to_roundoff():
@@ -58,7 +59,8 @@ def test_wrong_sign_gradient_detected():
 
 
 def test_component_suite_passes_default_tolerance():
-    results = component_checks(seed=1, embed_dim=8, layers=1, heads=2, ff_dim=12)
+    results = component_checks(seed=1, config=ModelConfig(
+        embed_dim=8, layers=1, heads=2, ff_dim=12, max_classes=3))
     assert set(results) == {"token_layer", "encoder", "label_embedder", "total_loss"}
     for name, err in results.items():
         assert err < 1e-4, f"{name}: {err:.2e}"
