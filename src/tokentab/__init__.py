@@ -46,14 +46,12 @@ from .prior import (
     sample_task,
 )
 from .tokenizer import (
-    CategoricalTokenTable,
     Column,
     FeatureSchema,
     FeatureTokenizer,
     SchemaError,
     category_gram_matrix,
     identifier_gram_matrix,
-    map_category,
     mean_abs_off_diagonal,
     orthogonal_loss,
 )

@@ -110,7 +110,7 @@ def save_checkpoint(path, model: InContextClassifier, kind: str,
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "model_config": asdict(model.config),
-        "table_sizes": list(model.tokenizer.table.sizes),
+        "table_sizes": list(model.table_sizes),
         "params": [
             {"name": n, "shape": list(t.shape), "requires_grad": t.requires_grad}
             for n, t in named

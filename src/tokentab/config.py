@@ -131,6 +131,8 @@ class PretrainSettings:
         for key in ("seed", "episodes", "holdout"):
             _check_at_least(self, key, 0)
         _check_at_least(self, "log_every", 1)
+        if not self.lr > 0.0:   # resolve has refused a non-finite one
+            raise ConfigError(f"key 'lr' must be > 0, got {self.lr!r}")
 
 
 @dataclass(frozen=True)

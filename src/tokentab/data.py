@@ -99,7 +99,8 @@ def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
     """Read a comma-delimited file with a header row into a typed dataset.
 
     Columns named in ``categorical`` keep raw string values; every other
-    feature column is parsed as numeric. The target column must be present
+    feature column is parsed as numeric. Header names must be distinct and
+    name at least one feature column. The target column must be present
     and non-missing on every row.
     """
     try:
@@ -114,8 +115,14 @@ def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise SchemaError(f"{path}: column {name!r} appears more than "
+                                  "once in the header")
         if target not in header:
             raise SchemaError(f"{path}: target column {target!r} not in header")
+        if len(header) == 1:
+            raise SchemaError(f"{path}: no feature column besides target {target!r}")
         unknown = set(categorical) - set(header)
         if unknown:
             raise SchemaError(f"{path}: categorical columns not in header: {sorted(unknown)}")
@@ -219,8 +226,8 @@ def encode(data: RawDataset, schema: FeatureSchema,
     cat = np.zeros((rows, schema.m), dtype=np.intp)
     num_positions = [k for k, kind in enumerate(data.kinds) if kind == NUMERICAL]
     cat_positions = [k for k, kind in enumerate(data.kinds) if kind == CATEGORICAL]
-    # map_category as one dict per column; a NaN value is missing, so no
-    # NaN key may match it by identity
+    # one dict per column from value to table row; a NaN value is missing,
+    # so no NaN key may match it by identity
     lookups = [
         {v: offset + pos for pos, v in enumerate(col.vocabulary)
          if not (isinstance(v, float) and np.isnan(v))}

@@ -125,7 +125,7 @@ def component_checks(seed: int = 0, eps: float = 1e-5,
         return _sum_of_squares(e, orthogonal_loss(tok.identifiers))
 
     results["token_layer"] = grad_check(
-        ft_target, [tok.w_num, tok.table.weights, tok.identifiers], eps=eps)
+        ft_target, [tok.w_num, tok.table, tok.identifiers], eps=eps)
 
     # encoder stack over 2 supports and 2 queries
     stack = [EncoderLayer.create(embed_dim, config.heads, config.ff_dim, rng)

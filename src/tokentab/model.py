@@ -25,7 +25,7 @@ from .autodiff import (
     numeric_guard,
     softmax_rows,
 )
-from .tokenizer import CategoricalTokenTable, FeatureTokenizer, initial_array
+from .tokenizer import FeatureTokenizer, initial_array
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,11 @@ class InContextClassifier:
         if tensors["label_embed"].shape != (1, config.embed_dim):
             raise DimensionError("label embedder must be a (1, d) matrix")
         self.config = config
+        self.table_sizes = tuple(table_sizes)
         self.tensors = tensors
-        self.tokenizer = FeatureTokenizer(
-            tensors["tokenizer.w_num"],
-            CategoricalTokenTable(tensors["tokenizer.table"], tuple(table_sizes)),
-            tensors.get("tokenizer.identifiers"))
+        self.tokenizer = FeatureTokenizer(tensors["tokenizer.w_num"],
+                                          tensors["tokenizer.table"],
+                                          tensors.get("tokenizer.identifiers"))
         self.label_weights = tensors["label_embed"]
         self.layers = [EncoderLayer({n: tensors[f"layers.{i}.{n}"]
                                      for n in LAYER_PARAMS}, config.heads)

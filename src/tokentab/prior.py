@@ -6,7 +6,7 @@ pretraining corpus: varied enough to induce in-context behaviour at desk
 scale, deterministic from (config, seed).
 
 Categorical values use a fixed slot layout in the pretraining token table:
-column j owns rows [1 + j*max_categories, 1 + (j+1)*max_categories), so
+every column owns ``max_categories`` rows, placed by ``first_rows``, so
 every task shares one table whose parameters persist across episodes.
 """
 
@@ -20,6 +20,7 @@ from .autodiff import NumericError, no_grad, softmax_cross_entropy
 from .model import (InContextClassifier, ModelConfig, SupportQueryBatch,
                     split_episode)
 from .optim import Adam
+from .tokenizer import first_rows
 
 _TASK_TAG = 7791      # seed-stream tags keep task, split and init draws apart
 _SPLIT_TAG = 3317
@@ -139,10 +140,7 @@ def _draw_rule(rng: np.random.Generator, cfg: PriorConfig, rows: int,
         while len(np.unique(rule)) < 2:
             rule = rng.integers(0, n_classes, size=(sizes[0], sizes[1]))
         labels = rule[values[:, 0], values[:, 1]]
-    # slot layout: column j owns max_categories rows starting at 1 + j*max_categories
-    cat = np.zeros((rows, m), dtype=np.intp)
-    for j in range(m):
-        cat[:, j] = 1 + j * cfg.max_categories + values[:, j]
+    cat = values + first_rows(cfg.table_sizes)[:m]
     x = rng.standard_normal((rows, n)) if n else np.zeros((rows, 0))
     truth = {"rule": rule.tolist()}
     return x, cat, sizes, labels.astype(np.intp), truth

@@ -86,9 +86,8 @@ class Column:
 class FeatureSchema:
     """Ordered column declarations plus the categorical index layout.
 
-    Column order is fixed for the lifetime of a dataset. Offsets assign each
-    categorical column a disjoint range of token-table rows starting at 1;
-    row 0 is reserved for missing values.
+    Column order is fixed for the lifetime of a dataset. ``offsets`` are
+    the categorical columns' first token-table rows, by ``first_rows``.
     """
 
     columns: tuple[Column, ...]
@@ -124,58 +123,28 @@ class FeatureSchema:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        return _first_rows(self.vocab_sizes)
+        return first_rows(self.vocab_sizes)
 
 
-def _first_rows(sizes) -> tuple[int, ...]:
-    """First token-table row of each categorical column: consecutive ranges from 1."""
+def first_rows(sizes) -> tuple[int, ...]:
+    """First token-table row of each categorical column, given the columns'
+    row counts ``sizes``: consecutive ranges from 1, after the reserved
+    ``NAN_ROW``. The one layout rule of the table."""
     return tuple(accumulate(sizes, initial=1))[:-1]
-
-
-def map_category(value, j: int, schema: FeatureSchema) -> int:
-    """Index of ``value`` from categorical column ``j`` in the token table.
-
-    Total by design: missing values and values unseen at fit time both map
-    to the reserved row 0.
-    """
-    cols = schema.categorical_columns
-    if not 0 <= j < len(cols):
-        raise IndexError(f"categorical column {j} out of range ({len(cols)} columns)")
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return NAN_ROW
-    try:
-        pos = cols[j].vocabulary.index(value)
-    except ValueError:
-        return NAN_ROW
-    return schema.offsets[j] + pos
-
-
-@dataclass
-class CategoricalTokenTable:
-    """Shared lookup table: one row per known category plus the NaN row.
-
-    Row ``NAN_ROW`` (0) is stored and starts at zero, but it is not a
-    trained entry: ``FeatureTokenizer.embed_rows`` gives missing and unseen
-    categories a constant zero token and never sends gradient into it.
-    """
-
-    weights: Tensor
-    sizes: tuple[int, ...]
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return _first_rows(self.sizes)
 
 
 class FeatureTokenizer:
     """Bundles the three token parameter sets and turns rows into embeddings.
 
     Operates on encoded inputs: numerical values as floats, categorical
-    values as token-table row indices. ``identifiers`` is None for the
+    values as token-table row indices. ``table`` holds one row per known
+    category, column ranges laid out by ``first_rows``, plus row
+    ``NAN_ROW``, which is stored and starts at zero but neither shapes an
+    embedding nor is trained (see ``embed_rows``). ``identifiers`` is None for the
     no-identifier model variant.
     """
 
-    def __init__(self, w_num: Tensor, table: CategoricalTokenTable,
+    def __init__(self, w_num: Tensor, table: Tensor,
                  identifiers: Tensor | None):
         self.w_num = w_num
         self.table = table
@@ -201,11 +170,9 @@ class FeatureTokenizer:
                rng: np.random.Generator) -> "FeatureTokenizer":
         """Every parameter trainable, identifiers included, drawn by
         ``initial_array`` in the order ``w_num``, table, identifiers."""
-        sizes = tuple(int(s) for s in vocab_sizes)
-        w_num, table, ids = (
+        return cls(*(
             Tensor(initial_array(name, shape, dim, rng), requires_grad=True)
-            for name, shape in cls.parameter_shapes(n, sizes, dim, True))
-        return cls(w_num, CategoricalTokenTable(table, sizes), ids)
+            for name, shape in cls.parameter_shapes(n, vocab_sizes, dim, True)))
 
     def embed_rows(self, num: np.ndarray, cat: np.ndarray) -> Tensor:
         """Sample embeddings for an encoded batch: (rows, d).
@@ -227,7 +194,7 @@ class FeatureTokenizer:
                 f"encoded batch shapes disagree: num {num.shape}, cat {cat.shape}"
             )
         (rows, n_used), m_used = num.shape, cat.shape[1]
-        w_num, table, ids = self.w_num, self.table.weights, self.identifiers
+        w_num, table, ids = self.w_num, self.table, self.identifiers
         if n_used > w_num.shape[0]:
             raise SchemaError(
                 f"{n_used} numerical features exceed tokenizer capacity "
@@ -367,9 +334,9 @@ def orthogonal_loss(identifiers: Tensor) -> Tensor:
     return _op(out_data, (identifiers,), backward)
 
 
-def category_gram_matrix(table: CategoricalTokenTable) -> np.ndarray:
+def category_gram_matrix(table: Tensor) -> np.ndarray:
     """Pairwise inner products of all token-table rows (NaN row included)."""
-    w = table.weights.data
+    w = table.data
     return w @ w.T
 
 

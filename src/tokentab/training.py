@@ -8,6 +8,7 @@ so the test set cannot influence which model is reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -48,8 +49,12 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not 0.0 < self.lr < math.inf:   # NaN fails every comparison
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.lambda_orth < 0:
             raise ValueError("lambda_orth must be >= 0")
+        if not self.lambda_orth < math.inf:
+            raise ValueError(f"lambda_orth must be finite, got {self.lambda_orth!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.trainable not in TRAINABLE_SETS:

@@ -26,6 +26,7 @@ from tokentab.model import SupportQueryBatch
 from tokentab.prior import PriorConfig, evaluate_fresh_tasks
 from tokentab.tokenizer import (
     FeatureTokenizer,
+    first_rows,
     identifier_gram_matrix,
     mean_abs_off_diagonal,
     orthogonal_loss,
@@ -152,12 +153,12 @@ def test_criterion_04_freeze_contracts(acceptance_run, capsys):
     test = encode(test_raw, schema, stats)
     model = build_finetune_model(acceptance_run["model"], schema, 2, cfg)
     w_num_before = model.tokenizer.w_num.data.tobytes()
-    nan_row_before = model.tokenizer.table.weights.data[0].tobytes()
-    table_before = model.tokenizer.table.weights.data.tobytes()
+    nan_row_before = model.tokenizer.table.data[0].tobytes()
+    table_before = model.tokenizer.table.data.tobytes()
     log = finetune(model, train, cfg, test=test)
     assert model.tokenizer.w_num.data.tobytes() == w_num_before
-    assert model.tokenizer.table.weights.data[0].tobytes() == nan_row_before
-    assert model.tokenizer.table.weights.data.tobytes() != table_before
+    assert model.tokenizer.table.data[0].tobytes() == nan_row_before
+    assert model.tokenizer.table.data.tobytes() != table_before
     assert log.records[-1].train_loss < log.records[0].train_loss
     with capsys.disabled():
         report(4, "numerical weights and the reserved row bit-identical "
@@ -301,7 +302,7 @@ def test_criterion_09_invariance_suite(acceptance_run, capsys):
     tok = FeatureTokenizer.create(n, sizes, d, rng)
     num = rng.standard_normal((6, n))
     local = np.column_stack([rng.integers(0, s + 1, size=6) for s in sizes])
-    offsets = np.array(tok.table.offsets)
+    offsets = np.array(first_rows(sizes))
     cat = np.where(local == 0, 0, local - 1 + offsets[None, :])
     base_embed = tok.embed_rows(num, cat).data
     perm_n, perm_m = rng.permutation(n), rng.permutation(m)
@@ -309,12 +310,12 @@ def test_criterion_09_invariance_suite(acceptance_run, capsys):
     tok_p = FeatureTokenizer.create(n, sizes_p, d, rng)
     tok_p.w_num.data[...] = tok.w_num.data[perm_n]
     tok_p.identifiers.data[...] = tok.identifiers.data[perm_m]
-    offsets_p = np.array(tok_p.table.offsets)
-    tok_p.table.weights.data[0] = tok.table.weights.data[0]
+    offsets_p = np.array(first_rows(sizes_p))
+    tok_p.table.data[0] = tok.table.data[0]
     for new_j, old_j in enumerate(perm_m):
         size = sizes[old_j]
-        src = tok.table.weights.data[offsets[old_j]:offsets[old_j] + size]
-        tok_p.table.weights.data[offsets_p[new_j]:offsets_p[new_j] + size] = src
+        src = tok.table.data[offsets[old_j]:offsets[old_j] + size]
+        tok_p.table.data[offsets_p[new_j]:offsets_p[new_j] + size] = src
     local_p = local[:, perm_m]
     cat_p = np.where(local_p == 0, 0, local_p - 1 + offsets_p[None, :])
     permuted_embed = tok_p.embed_rows(num[:, perm_n], cat_p).data

@@ -21,7 +21,7 @@ from tokentab.prior import (
     _seeded_episode,
     build_pretraining_model,
 )
-from tokentab.tokenizer import NAN_ROW, FeatureTokenizer
+from tokentab.tokenizer import NAN_ROW, FeatureTokenizer, first_rows
 from tokentab.training import (
     FinetuneConfig,
     build_finetune_model,
@@ -121,7 +121,7 @@ def test_wide_finetune_step_runs_no_scatter_add(monkeypatch):
     opt = Adam([t for _, t in model.named_tensors()], lr=cfg.lr)
     total_loss(batch, model, cfg).backward()
     opt.step()
-    assert model.tokenizer.table.weights.grad[1:].any()
+    assert model.tokenizer.table.grad[1:].any()
 
 
 def table_backward_peak(columns, values, rows, seed):
@@ -132,7 +132,7 @@ def table_backward_peak(columns, values, rows, seed):
     cat = np.column_stack([
         np.where(rng.random(rows) < 0.3, NAN_ROW,
                  offset + rng.integers(0, values, size=rows))
-        for offset in tok.table.offsets])
+        for offset in first_rows((values,) * columns)])
     e = tok.embed_rows(np.zeros((rows, 0)), cat)
     loss = sum_all(e)
     tracemalloc.start()
@@ -141,7 +141,7 @@ def table_backward_peak(columns, values, rows, seed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tok.table.weights.grad is not None
+    assert tok.table.grad is not None
     return peak, tok
 
 
@@ -159,7 +159,7 @@ def test_table_backward_peak_memory_at_2000_rows_is_two_gradients():
     most 4 MiB, as with the scatter-add. A one-hot over the touched rows
     would be about 400 MiB."""
     peak, tok = table_backward_peak(30, 1000, 2000, seed=30)
-    assert peak < 2 * tok.table.weights.data.nbytes + 4 * 2**20
+    assert peak < 2 * tok.table.data.nbytes + 4 * 2**20
 
 
 def test_predict_proba_peak_memory_at_1000_plus_1000_rows_under_18_mib():

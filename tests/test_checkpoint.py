@@ -46,7 +46,7 @@ def test_frozen_flags_survive_round_trip(tiny_backbone, tmp_path):
     ckpt = load_checkpoint(path)
     rebuilt = rebuild_model(ckpt)
     assert not rebuilt.tokenizer.w_num.requires_grad
-    assert rebuilt.tokenizer.table.weights.requires_grad
+    assert rebuilt.tokenizer.table.requires_grad
     assert rebuilt.head_w.requires_grad
     assert not rebuilt.label_weights.requires_grad  # ft-layer-only default
 

@@ -262,7 +262,7 @@ class TestExportHeatmaps:
         ident = np.loadtxt(heat / "identifier_gram.csv", delimiter=",", skiprows=1)
         assert np.array_equal(ident,
                               identifier_gram_matrix(model.tokenizer.identifiers))
-        n_rows = model.tokenizer.table.weights.shape[0]
+        n_rows = model.tokenizer.table.shape[0]
         assert cat.shape == (n_rows, n_rows)
         m = model.tokenizer.identifiers.shape[0]
         assert ident.shape == (m, m)
@@ -364,6 +364,10 @@ class TestSettingsExitCodes:
         (["grad-check", "--tolerance", "-1"], "tolerance"),
         (["finetune", "--data", "d", "--checkpoint", "c", "--seeds", "0,1,0"],
          "seed 0"),
+        (["pretrain", "--lr", "-5"], "key 'lr' must be > 0"),
+        (["pretrain", "--lr", "0"], "key 'lr' must be > 0"),
+        (["finetune", "--data", "d", "--checkpoint", "c", "--lr", "0"],
+         "lr must be finite and > 0"),
     ])
     def test_unusable_setting_is_usage_error(self, tmp_path, capsys, argv, named):
         if argv[0] in ("pretrain", "finetune"):
@@ -441,15 +445,58 @@ def test_settings_classes_declare_no_runtime_config_key(command, declared):
     assert len(names) == declared
 
 
-COMPARE_VARIANTS = Path(__file__).parents[1] / "scripts" / "compare_variants.py"
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    """The exit code of ``scripts/<name>`` run with ``argv``."""
+    script = str(SCRIPTS / name)
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(script, run_name="__main__")
+    return stop.value.code
 
 
 def run_compare_variants(monkeypatch, *argv):
-    """The exit code of ``scripts/compare_variants.py`` run with ``argv``."""
-    monkeypatch.setattr(sys, "argv", [str(COMPARE_VARIANTS), *argv])
-    with pytest.raises(SystemExit) as stop:
-        runpy.run_path(str(COMPARE_VARIANTS), run_name="__main__")
-    return stop.value.code
+    return run_script(monkeypatch, "compare_variants.py", *argv)
+
+
+EPOCH = {"epoch": 0, "train_loss": 0.5, "train_accuracy": 0.75, "train_auc": 0.8,
+         "test_accuracy": None, "test_auc": None}
+
+
+#: the bytes of an unusable training log (None: no file), and what the
+#: message names
+BAD_LOGS = {
+    "missing file": (None, "No such file"),
+    "not JSON": (json.dumps(EPOCH).encode() + b"\n{epoch: 1\n", "b.jsonl: line 2: "),
+    "missing keys": (b'{"epoch": 0}\n', "b.jsonl: line 1: "),
+    "not a record": (b"[0.5]\n", "b.jsonl: line 1: "),
+    "not UTF-8": (b"\xff\xfe\n", "b.jsonl: 'utf-8' codec"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOGS))
+def test_average_train_logs_reports_data_errors_in_one_line(
+        tmp_path, monkeypatch, capsys, case):
+    """``scripts/average_train_logs.py`` exits 2 with one message line on an
+    unreadable log and averages readable ones."""
+    good = tmp_path / "a.jsonl"
+    good.write_text(json.dumps(EPOCH) + "\n", encoding="utf-8")
+    out = tmp_path / "avg.jsonl"
+    assert run_script(monkeypatch, "average_train_logs.py", str(good), str(good),
+                      "--out", str(out)) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["train_auc"] == 0.8
+    data, named = BAD_LOGS[case]
+    bad = tmp_path / "b.jsonl"
+    if data is not None:
+        bad.write_bytes(data)
+    capsys.readouterr()
+    assert run_script(monkeypatch, "average_train_logs.py", str(good), str(bad),
+                      "--out", str(out)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("seeds, named", [
@@ -469,6 +516,12 @@ def test_compare_variants_reads_seeds_by_the_finetune_rule(monkeypatch, capsys,
 @pytest.mark.parametrize("flag, named", [
     ("--epochs=-1", "epochs must be >= 0"),
     ("--lambda_orth=-1", "lambda_orth must be >= 0"),
+    ("--lambda_orth=nan", "lambda_orth must be finite"),
+    ("--lambda_orth=inf", "lambda_orth must be finite"),
+    ("--lr=nan", "lr must be finite and > 0"),
+    ("--lr=inf", "lr must be finite and > 0"),
+    ("--lr=0", "lr must be finite and > 0"),
+    ("--lr=-1e-3", "lr must be finite and > 0"),
     ("--steps_per_epoch=0", "steps_per_epoch must be >= 1"),
 ])
 def test_compare_variants_refuses_settings_before_reading_files(

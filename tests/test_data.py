@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenizer_oracle import map_category
+
 from tokentab.data import (
     ParseError,
     RawDataset,
@@ -68,6 +70,23 @@ class TestLoadCsv:
     def test_missing_target_column_is_schema_error(self, tmp_path):
         path = write(tmp_path, "t.csv", "a,b\n1,2\n")
         with pytest.raises(SchemaError):
+            load_csv(path, target="label", categorical=[])
+
+    @pytest.mark.parametrize("header", ["label,x,label,y", "x,label,y,x",
+                                        "x, label ,label"])
+    def test_repeated_column_name_is_schema_error_naming_file(self, tmp_path,
+                                                             header):
+        """A repeated target would hand its second column's values to the
+        next feature; a repeated feature would make two columns one name."""
+        row = ",".join(["1"] * (header.count(",") + 1))
+        path = write(tmp_path, "dup.csv", f"{header}\n{row}\n{row}\n")
+        with pytest.raises(SchemaError, match="dup.csv: column .* appears more "
+                                              "than once"):
+            load_csv(path, target="label", categorical=[])
+
+    def test_target_only_is_schema_error_naming_file(self, tmp_path):
+        path = write(tmp_path, "only.csv", "label\ny\nn\n")
+        with pytest.raises(SchemaError, match="only.csv: no feature column"):
             load_csv(path, target="label", categorical=[])
 
     def test_ragged_row_reports_line_number(self, tmp_path):
@@ -257,8 +276,6 @@ class TestNoLeakage:
 
 class TestEncodeLookup:
     def test_matches_map_category_cell_by_cell(self):
-        from tokentab.tokenizer import map_category
-
         nan = float("nan")
         kinds = ("categorical", "numerical", "categorical", "categorical")
         train = RawDataset(

@@ -1,6 +1,6 @@
-"""Exit codes of ``main()`` on damaged inputs: CSV contents, huge weights
-in the encoder and the head, a huge orthogonality weight, well-formed
-categorical tables and a non-finite token-table gradient.
+"""Exit codes of ``main()`` on damaged inputs: CSV contents and headers,
+huge weights in the encoder and the head, a huge orthogonality weight,
+well-formed categorical tables and a non-finite token-table gradient.
 
 Every input maps to 0 (ok), 1 (usage), 2 (data) or 3 (numeric), with a
 message naming where it went wrong, and never to a traceback or a numpy
@@ -123,6 +123,22 @@ class TestCsvDefects:
         capsys.readouterr()
         assert evaluate(checkpoints[1], descriptor) == EXIT_DATA
         assert "line 4 has 2 fields, expected 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ("label,x1,c0,c1,label\n1,2,u,v,0\n3,4,v,u,1\n",
+         "column 'label' appears more than once in the header"),
+        ("label\n0\n1\n0\n", "no feature column besides target 'label'"),
+    ], ids=["repeated target", "target only"])
+    def test_unusable_header_is_one_data_error_line(
+            self, checkpoints, tmp_path, capsys, text, named):
+        descriptor = write_csv(tmp_path, text.encode("utf-8"))
+        for run in (lambda: finetune(checkpoints[0], descriptor, tmp_path / "ft"),
+                    lambda: evaluate(checkpoints[1], descriptor)):
+            capsys.readouterr()
+            assert run() == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and err.count("\n") == 1
+            assert "fuzz.csv" in err and named in err and "Traceback" not in err
 
     def test_byte_order_mark_is_not_part_of_the_first_header(
             self, checkpoints, tmp_path, capsys):

@@ -29,7 +29,7 @@ def finetuned(backbone, schema, variant="full", trainable="ft_layer_only"):
 def declared(model):
     tok = model.tokenizer
     return list(InContextClassifier.parameter_shapes(
-        model.config, tok.w_num.shape[0], tok.table.sizes,
+        model.config, tok.w_num.shape[0], model.table_sizes,
         tok.identifiers is not None))
 
 
@@ -106,7 +106,7 @@ class TestNoDiscardedDraws:
         model = finetuned(tiny_backbone, schema, variant)
         ((seed, rng),) = made
         replay = real(*seed)
-        replay.normal(size=model.tokenizer.table.weights.shape)
+        replay.normal(size=model.tokenizer.table.shape)
         if variant == "full":
             replay.normal(size=model.tokenizer.identifiers.shape)
         assert rng.bit_generator.state == replay.bit_generator.state
@@ -161,7 +161,7 @@ class TestCreate:
 def held_by_parts(model):
     """Name -> the tensor the tokenizer, label term, layers and head use."""
     tok = model.tokenizer
-    held = {"tokenizer.w_num": tok.w_num, "tokenizer.table": tok.table.weights}
+    held = {"tokenizer.w_num": tok.w_num, "tokenizer.table": tok.table}
     if tok.identifiers is not None:
         held["tokenizer.identifiers"] = tok.identifiers
     held["label_embed"] = model.label_weights

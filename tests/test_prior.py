@@ -123,7 +123,7 @@ class TestPretrain:
         # the freeze contract applies downstream, not here
         assert not np.array_equal(model.tokenizer.w_num.data, w_before)
         # but the reserved missing-value row never moves, even here
-        assert model.tokenizer.table.weights.data[0].tobytes() == \
+        assert model.tokenizer.table.data[0].tobytes() == \
             np.zeros(8).tobytes()
 
     def test_query_labels_only_reach_the_loss(self):

@@ -7,6 +7,7 @@ from chain_ops import add, mul, sum_all
 from tokenizer_oracle import (
     embed_query,
     embed_rows_chain,
+    map_category,
     on_recorded_blas,
     table_gradient_scatter,
     tokenize_categorical,
@@ -24,7 +25,7 @@ from tokentab.tokenizer import (
     SchemaError,
     category_gram_matrix,
     identifier_gram_matrix,
-    map_category,
+    first_rows,
     mean_abs_off_diagonal,
     orthogonal_loss,
 )
@@ -135,14 +136,14 @@ class TestTokenizeCategorical:
 
     def test_zero_identifier_returns_table_row(self):
         schema, tok = make_tokenizer(dim=2)
-        tok.table.weights.data[1] = [1.0, 0.0]
+        tok.table.data[1] = [1.0, 0.0]
         tok.identifiers.data[0] = [0.0, 0.0]
         out = tokenize_categorical("red", 0, tok, schema)
         assert np.array_equal(out.data, [1.0, 0.0])
 
     def test_elementwise_add(self):
         schema, tok = make_tokenizer(dim=2)
-        tok.table.weights.data[1] = [1.0, 2.0]
+        tok.table.data[1] = [1.0, 2.0]
         tok.identifiers.data[0] = [0.5, -0.5]
         out = tokenize_categorical("red", 0, tok, schema)
         assert np.array_equal(out.data, [1.5, 1.5])
@@ -150,10 +151,10 @@ class TestTokenizeCategorical:
     def test_gradient_reaches_table_and_identifier(self):
         schema, tok = make_tokenizer(dim=2)
         sum_all(tokenize_categorical("red", 0, tok, schema)).backward()
-        assert tok.table.weights.grad is not None
+        assert tok.table.grad is not None
         assert tok.identifiers.grad is not None
-        assert np.all(tok.table.weights.grad[1] == 1.0)
-        assert np.all(tok.table.weights.grad[2:] == 0.0)
+        assert np.all(tok.table.grad[1] == 1.0)
+        assert np.all(tok.table.grad[2:] == 0.0)
 
 
 class TestOrthogonalLoss:
@@ -210,7 +211,7 @@ class TestOrthogonalLoss:
 class TestGramMatrices:
     def test_identity_table_gives_identity(self):
         table = FeatureTokenizer.create(0, (2,), 3, np.random.default_rng(0)).table
-        table.weights.data[...] = np.eye(3)
+        table.data[...] = np.eye(3)
         assert np.array_equal(category_gram_matrix(table), np.eye(3))
 
     def test_symmetric_nonnegative_diagonal(self):
@@ -222,7 +223,7 @@ class TestGramMatrices:
     def test_matches_pairwise_dot_oracle(self):
         rows = np.random.default_rng(2).standard_normal((3, 4))
         table = FeatureTokenizer.create(0, (2,), 4, np.random.default_rng(0)).table
-        table.weights.data[...] = rows
+        table.data[...] = rows
         g = category_gram_matrix(table)
         for i in range(3):
             for j in range(3):
@@ -254,7 +255,7 @@ class TestEmbedding:
         from tokentab.optim import Adam
 
         schema, tok = make_tokenizer(dim=4, seed=2)
-        opt = Adam([tok.w_num, tok.table.weights, tok.identifiers], lr=0.1)
+        opt = Adam([tok.w_num, tok.table, tok.identifiers], lr=0.1)
         num = np.random.default_rng(0).standard_normal((6, 1))
         cat = np.array([[0, 4], [1, 5], [2, 4], [3, 5], [0, 4], [2, 5]])
         for _ in range(20):
@@ -262,7 +263,7 @@ class TestEmbedding:
             e = tok.embed_rows(num, cat)
             sum_all(mul(e, e)).backward()
             opt.step()
-        assert tok.table.weights.data[0].tobytes() == np.zeros(4).tobytes()
+        assert tok.table.data[0].tobytes() == np.zeros(4).tobytes()
 
     def test_all_nan_zero_sample_embeds_to_identifier_sum(self):
         schema, tok = make_tokenizer(dim=4, seed=3)
@@ -296,12 +297,12 @@ class TestEmbedding:
         tok_p.w_num.data[...] = tok.w_num.data[perm_n]
         tok_p.identifiers.data[...] = tok.identifiers.data[perm_m]
         # rebuild the table with each column's block moved to its new offset
-        offsets_p = tok_p.table.offsets
-        tok_p.table.weights.data[0] = tok.table.weights.data[0]
+        offsets_p = first_rows(sizes_p)
+        tok_p.table.data[0] = tok.table.data[0]
         for new_j, old_j in enumerate(perm_m):
             size = sizes[old_j]
-            src = tok.table.weights.data[offsets[old_j]:offsets[old_j] + size]
-            tok_p.table.weights.data[offsets_p[new_j]:offsets_p[new_j] + size] = src
+            src = tok.table.data[offsets[old_j]:offsets[old_j] + size]
+            tok_p.table.data[offsets_p[new_j]:offsets_p[new_j] + size] = src
         cat_local_p = cat_local[:, perm_m]
         cat_p = np.where(cat_local_p == 0, 0,
                          cat_local_p - 1 + np.array(offsets_p)[None, :])
@@ -314,8 +315,8 @@ class TestEmbedding:
         num = rng.standard_normal((5, 1))
         raw_cats = [["red", "m"], [None, "s"], ["blue", None], ["green", "m"],
                     ["purple", "s"]]  # includes an unseen value
-        from tokentab.tokenizer import map_category as g
-        cat = np.array([[g(rc[0], 0, schema), g(rc[1], 1, schema)]
+        cat = np.array([[map_category(rc[0], 0, schema),
+                         map_category(rc[1], 1, schema)]
                         for rc in raw_cats], dtype=np.intp)
         batch = tok.embed_rows(num, cat).data
         for r in range(5):
@@ -337,19 +338,19 @@ class TestEmbedding:
             e = tok.embed_rows(num, cat)
             return sum_all(mul(e, e))
 
-        err = grad_check(target, [tok.w_num, tok.table.weights, tok.identifiers])
+        err = grad_check(target, [tok.w_num, tok.table, tok.identifiers])
         assert err < 1e-5
 
 
 class TestTokenTable:
     def test_offsets_partition_rows(self):
         table = FeatureTokenizer.create(0, (3, 2), 4, np.random.default_rng(0)).table
-        assert table.offsets == (1, 4)
-        assert table.weights.shape == (6, 4)
+        assert first_rows((3, 2)) == (1, 4)
+        assert table.shape == (6, 4)
 
     def test_row_zero_initialized_to_zero(self):
         table = FeatureTokenizer.create(0, (3, 2), 4, np.random.default_rng(0)).table
-        assert np.array_equal(table.weights.data[0], np.zeros(4))
+        assert np.array_equal(table.data[0], np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def fused_case(name, seed=0):
     if not use_ids:
         tok.identifiers = None
     rng = np.random.default_rng(seed + 1)
-    offsets = tok.table.offsets
+    offsets = first_rows(sizes)
     batches = []
     for _ in range(2):
         num = rng.standard_normal((rows, n))
@@ -408,7 +409,7 @@ def run_two_calls(tok, batches, embed):
     if tok.identifiers is not None and tok.identifiers.shape[0] > 1:
         loss = add(orthogonal_loss(tok.identifiers), loss)
     loss.backward()
-    params = {"tokenizer.w_num": tok.w_num, "tokenizer.table": tok.table.weights,
+    params = {"tokenizer.w_num": tok.w_num, "tokenizer.table": tok.table,
               "tokenizer.identifiers": tok.identifiers}
     grads = {name: t.grad for name, t in params.items() if t is not None}
     return a.data, b.data, grads
@@ -444,13 +445,13 @@ class TestFusedEmbedRows:
         tok, batches = fused_case("frozen_w_num")
         run_two_calls(tok, batches, FeatureTokenizer.embed_rows)
         assert tok.w_num.grad is None
-        assert tok.table.weights.grad is not None
+        assert tok.table.grad is not None
 
     def test_no_categorical_columns_leave_table_and_identifiers_untouched(self):
         tok, batches = fused_case("numerical_only")
         run_two_calls(tok, batches, FeatureTokenizer.embed_rows)
         assert tok.w_num.grad is not None
-        assert tok.table.weights.grad is None
+        assert tok.table.grad is None
         assert tok.identifiers.grad is None
 
     def test_one_graph_node_over_parameter_leaves(self):
@@ -458,24 +459,24 @@ class TestFusedEmbedRows:
         e = tok.embed_rows(num, cat)
         tape = sum_all(e).backward()
         assert len(tape.nodes) == 5   # 3 leaves, embed_rows, sum_all
-        assert e._parents == (tok.w_num, tok.table.weights, tok.identifiers)
+        assert e._parents == (tok.w_num, tok.table, tok.identifiers)
 
     def test_row_zero_is_a_constant_zero_token(self):
         tok, [(num, cat), (num_b, cat_b)] = fused_case("both")
         assert (cat == 0).any() and (cat_b == 0).any()
         at_zero = tok.embed_rows(num, cat).data
-        tok.table.weights.data[0] = 1.0
+        tok.table.data[0] = 1.0
         e = tok.embed_rows(num, cat)
         assert e.data.tobytes() == at_zero.tobytes()
         sum_all(mul(e, e)).backward()
-        assert not tok.table.weights.grad[0].any()
+        assert not tok.table.grad[0].any()
 
         def target():
             a = tok.embed_rows(num, cat)
             b = tok.embed_rows(num_b, cat_b)
             return sum_all(mul(mul(a, a), b))
 
-        assert grad_check(target, [tok.table.weights]) < 1e-6
+        assert grad_check(target, [tok.table]) < 1e-6
 
     def test_gradient_vs_finite_differences(self):
         tok, [(num, cat), (num_b, cat_b)] = fused_case("both", seed=3)
@@ -486,7 +487,7 @@ class TestFusedEmbedRows:
             b = tok.embed_rows(num_b, cat_b)
             return sum_all(mul(mul(a, a), b))
 
-        err = grad_check(target, [tok.w_num, tok.table.weights, tok.identifiers])
+        err = grad_check(target, [tok.w_num, tok.table, tok.identifiers])
         assert err < 1e-6
 
     @pytest.mark.parametrize("num, cat, error", [
@@ -514,7 +515,7 @@ def table_batch(seed, dim, sizes, rows, nan_share=0.3):
     tok = FeatureTokenizer.create(0, sizes, dim, rng)
     cols = [np.where(rng.random(rows) < nan_share, NAN_ROW,
                      offset + rng.integers(0, size, size=rows))
-            for offset, size in zip(tok.table.offsets, sizes)]
+            for offset, size in zip(first_rows(sizes), sizes)]
     cat = np.column_stack(cols).astype(np.intp)
     return tok, cat, rng.standard_normal((rows, dim))
 
@@ -523,7 +524,7 @@ def table_gradient_of_op(tok, cat, g):
     """The table gradient ``embed_rows`` accumulates for upstream ``g``."""
     e = tok.embed_rows(np.zeros((cat.shape[0], 0)), cat)
     sum_all(mul(e, Tensor(g))).backward()   # e receives 1.0 * g: exactly g
-    return tok.table.weights.grad
+    return tok.table.grad
 
 
 def touched_rows(cat):
@@ -541,7 +542,7 @@ def product_rows(cat):
 def assert_within_1e_12_of_the_scatter(tok, cat, g):
     """Element-wise within 1e-12 of the sum of |terms|; exact zeros on
     ``NAN_ROW`` and every untouched row."""
-    table_rows = tok.table.weights.shape[0]
+    table_rows = tok.table.shape[0]
     got = table_gradient_of_op(tok, cat, g)
     ref = table_gradient_scatter(table_rows, cat.T, g)
     scale = table_gradient_scatter(table_rows, cat.T, np.abs(g))
@@ -569,7 +570,7 @@ class TestTableGradient:
             pytest.skip("bit-exact products recorded for OpenBLAS 0.3.31 only")
         tok, cat, g = table_batch(seed, dim, sizes, rows)
         assume(product_rows(cat).size != 1)
-        ref = table_gradient_scatter(tok.table.weights.shape[0], cat.T, g)
+        ref = table_gradient_scatter(tok.table.shape[0], cat.T, g)
         assert np.array_equal(table_gradient_of_op(tok, cat, g), ref)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -581,7 +582,7 @@ class TestTableGradient:
             self, seed, dim, sizes, rows, nan_share):
         """The sequential sum needs no BLAS: exact on every shape."""
         tok, cat, g = table_batch(seed, dim, sizes, rows, nan_share)
-        table_rows = tok.table.weights.shape[0]
+        table_rows = tok.table.shape[0]
         summed = np.setdiff1d(np.arange(table_rows), product_rows(cat))
         got = table_gradient_of_op(tok, cat, g)
         ref = table_gradient_scatter(table_rows, cat.T, g)
@@ -601,18 +602,18 @@ class TestTableGradient:
         """Of 400 rows, 300 read three values and 100 read one value each:
         the product takes the three, the sum the other 100."""
         tok, _, g = table_batch(0, 8, (103,), 400, nan_share=0.0)
-        first = tok.table.offsets[0]
+        first = first_rows((103,))[0]
         cat = first + np.concatenate([np.arange(300) % 3, 3 + np.arange(100)])
         cat = cat[:, None].astype(np.intp)
         assert product_rows(cat).tolist() == [first, first + 1, first + 2]
         assert_within_1e_12_of_the_scatter(tok, cat, g)
-        got = tok.table.weights.grad
-        ref = table_gradient_scatter(tok.table.weights.shape[0], cat.T, g)
+        got = tok.table.grad
+        ref = table_gradient_scatter(tok.table.shape[0], cat.T, g)
         assert np.array_equal(got[first + 3:], ref[first + 3:])
 
     def test_one_touched_row(self):
         tok, cat, g = table_batch(0, 2, (3,), 300, nan_share=0.0)
-        cat[:] = tok.table.offsets[0] + 1
+        cat[:] = first_rows((3,))[0] + 1
         assert_within_1e_12_of_the_scatter(tok, cat, g)
 
     def test_a_repeated_cell_counts_twice(self):

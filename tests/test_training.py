@@ -170,10 +170,10 @@ class TestFinetune:
     def test_numerical_weights_bit_identical_after_training(self, tiny_backbone):
         model, cfg, train, test = self.setup_case(tiny_backbone, epochs=5)
         w_before = model.tokenizer.w_num.data.tobytes()
-        nan_row_before = model.tokenizer.table.weights.data[0].tobytes()
+        nan_row_before = model.tokenizer.table.data[0].tobytes()
         finetune(model, train, cfg, test=test)
         assert model.tokenizer.w_num.data.tobytes() == w_before
-        assert model.tokenizer.table.weights.data[0].tobytes() == nan_row_before
+        assert model.tokenizer.table.data[0].tobytes() == nan_row_before
         assert not model.tokenizer.w_num.requires_grad
 
     def test_log_has_one_record_per_epoch(self, tiny_backbone):

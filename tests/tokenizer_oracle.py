@@ -10,7 +10,9 @@ oracle only.
 
 ``tokenize_numerical``, ``tokenize_categorical``, ``embed_query`` and
 ``embed_support`` build one token or one row embedding at a time from raw
-values. ``row`` and ``gather_rows`` are the generic ops both paths use.
+values. ``map_category`` is their single-cell index rule and the reference
+``data.encode`` is compared against. ``row`` and ``gather_rows`` are the
+generic ops both paths use.
 
 ``table_gradient_scatter`` is the token-table gradient ``embed_rows``
 computed before it became a product plus a sequential sum: ``np.add.at``
@@ -34,13 +36,25 @@ from tokentab.autodiff import (
     _op,
     aggregate_tokens,
 )
-from tokentab.tokenizer import (
-    NAN_ROW,
-    FeatureSchema,
-    FeatureTokenizer,
-    SchemaError,
-    map_category,
-)
+from tokentab.tokenizer import NAN_ROW, FeatureSchema, FeatureTokenizer, SchemaError
+
+
+def map_category(value, j: int, schema: FeatureSchema) -> int:
+    """Index of ``value`` from categorical column ``j`` in the token table.
+
+    Total by design: missing values and values unseen at fit time both map
+    to the reserved row 0.
+    """
+    cols = schema.categorical_columns
+    if not 0 <= j < len(cols):
+        raise IndexError(f"categorical column {j} out of range ({len(cols)} columns)")
+    if value is None or (isinstance(value, float) and np.isnan(value)):
+        return NAN_ROW
+    try:
+        pos = cols[j].vocabulary.index(value)
+    except ValueError:
+        return NAN_ROW
+    return schema.offsets[j] + pos
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -129,7 +143,7 @@ def feature_tokens(tok: FeatureTokenizer, num: np.ndarray,
     for i in range(n_used):
         tokens.append(outer_scale_row(num[:, i], tok.w_num, i))
     for j in range(m_used):
-        t = gather_rows(tok.table.weights, cat[:, j].astype(np.intp))
+        t = gather_rows(tok.table, cat[:, j].astype(np.intp))
         if tok.identifiers is not None:
             t = add(t, row(tok.identifiers, j))
         tokens.append(t)
@@ -156,7 +170,7 @@ def tokenize_categorical(value, j: int, tokenizer: FeatureTokenizer,
                          schema: FeatureSchema) -> Tensor:
     """Token for categorical feature j: table row for the value plus identifier."""
     idx = map_category(value, j, schema)
-    tok = row(tokenizer.table.weights, idx)
+    tok = row(tokenizer.table, idx)
     if tokenizer.identifiers is not None:
         tok = add(tok, row(tokenizer.identifiers, j))
     return tok
