@@ -1,4 +1,5 @@
-"""Command-line surface: pretrain, finetune, evaluate, export-heatmaps, grad-check.
+"""Command-line surface: pretrain, finetune, evaluate, export-heatmaps,
+grad-check, average-logs.
 
 Every command is reproducible: the resolved configuration plus the seed
 determine all output bytes, and a copy of the resolved configuration lands
@@ -39,7 +40,13 @@ from .gradcheck import component_checks
 from .metrics import UndefinedMetricError, accuracy, roc_auc_ovo
 from .prior import build_pretraining_model, pretrain
 from .tokenizer import SchemaError, category_gram_matrix, identifier_gram_matrix
-from .training import full_support_episode, run_protocol
+from .training import (
+    average_train_logs,
+    full_support_episode,
+    rank_table,
+    read_train_log,
+    run_protocol,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,32 +157,37 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    resolved = _settings_from_args(FINETUNE, args)
-    settings, cfg = resolved
+    settings, cfg = _settings_from_args(FINETUNE, args)
     seeds = settings.seed_list()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     backbone = rebuild_model(load_checkpoint(args.checkpoint))
     raw = load_descriptor(args.data)
-    report, details = run_protocol(raw, backbone, cfg, seeds=seeds)
-    suffix = cfg.variant
-    _write_jsonl(out / f"report_{suffix}.jsonl", report.to_records())
-    (out / f"report_{suffix}.txt").write_text(
-        f"variant: {suffix}\n{report.summary_table()}\n", encoding="utf-8")
-    for detail in details:
-        _write_jsonl(out / f"trainlog_{suffix}_seed{detail.seed}.jsonl",
-                     detail.log.to_records())
-        save_checkpoint(
-            out / f"checkpoint_{suffix}_seed{detail.seed}.ckpt",
-            detail.model, kind="finetune",
-            schema=detail.schema, stats=detail.stats,
-            label_names=raw.label_names,
-            extra={"variant": suffix, "split_seed": detail.seed,
-                   "finetune": asdict(replace(cfg, seed=detail.seed))},
-        )
-    _write_resolved(out, FINETUNE, resolved, name=f"config_{suffix}.resolved")
-    print(f"variant: {suffix}")
-    print(report.summary_table())
+    reports = {}
+    for variant in settings.variant_list():
+        variant_cfg = replace(cfg, variant=variant)
+        report, details = run_protocol(raw, backbone, variant_cfg, seeds=seeds)
+        _write_jsonl(out / f"report_{variant}.jsonl", report.to_records())
+        (out / f"report_{variant}.txt").write_text(
+            f"variant: {variant}\n{report.summary_table()}\n", encoding="utf-8")
+        for detail in details:
+            _write_jsonl(out / f"trainlog_{variant}_seed{detail.seed}.jsonl",
+                         detail.log.to_records())
+            save_checkpoint(
+                out / f"checkpoint_{variant}_seed{detail.seed}.ckpt",
+                detail.model, kind="finetune",
+                schema=detail.schema, stats=detail.stats,
+                label_names=raw.label_names,
+                extra={"variant": variant, "split_seed": detail.seed,
+                       "finetune": asdict(replace(variant_cfg, seed=detail.seed))},
+            )
+        _write_resolved(out, FINETUNE, (replace(settings, variant=variant), cfg),
+                        name=f"config_{variant}.resolved")
+        print(f"variant: {variant}")
+        print(report.summary_table())
+        reports[variant] = report
+    if len(reports) > 1:
+        print(rank_table(reports))
     return EXIT_OK
 
 
@@ -259,6 +271,13 @@ def cmd_grad_check(args) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
+def cmd_average_logs(args) -> int:
+    merged = average_train_logs([read_train_log(p) for p in args.logs])
+    _write_jsonl(Path(args.out), merged)
+    print(f"averaged {len(args.logs)} logs over {len(merged)} epochs -> {args.out}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
@@ -302,6 +321,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="optional output directory")
     _add_settings_flags(p, GRAD_CHECK)
     p.set_defaults(func=cmd_grad_check)
+
+    p = sub.add_parser("average-logs",
+                       help="average training logs per epoch, equal weight per log")
+    p.add_argument("logs", nargs="+", help="trainlog_*.jsonl files")
+    p.add_argument("--out", required=True, help="output jsonl file")
+    p.set_defaults(func=cmd_average_logs)
 
     return parser
 

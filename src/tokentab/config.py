@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .gradcheck import GRAD_CHECK_MODEL
 from .model import ModelConfig
 from .prior import PriorConfig
-from .training import FinetuneConfig
+from .training import VARIANTS, FinetuneConfig
 
 
 class ConfigError(ValueError):
@@ -25,7 +25,9 @@ class ConfigError(ValueError):
 
 
 def read_kv_file(path) -> dict[str, str]:
+    """The ``key = value`` lines of ``path``; a key set twice is refused."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -33,8 +35,12 @@ def read_kv_file(path) -> dict[str, str]:
                 continue
             if "=" not in text:
                 raise ConfigError(f"{path}: line {line_no} is not 'key = value'")
-            key, value = text.split("=", 1)
-            mapping[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key in first_line:
+                raise ConfigError(f"{path}: key {key!r} is set on line "
+                                  f"{first_line[key]} and again on line {line_no}")
+            first_line[key] = line_no
+            mapping[key] = value
     return mapping
 
 
@@ -138,9 +144,11 @@ class PretrainSettings:
 @dataclass(frozen=True)
 class FinetuneSettings:
     seeds: str = "0,1,2,3,4"
+    variant: str = "full"
 
     def __post_init__(self):
         self.seed_list()
+        self.variant_list()
 
     def seed_list(self) -> tuple[int, ...]:
         try:
@@ -155,6 +163,16 @@ class FinetuneSettings:
             if seed in seeds[:i]:
                 raise ConfigError(f"key 'seeds' lists seed {seed} more than once")
         return seeds
+
+    def variant_list(self) -> tuple[str, ...]:
+        variants = tuple(v.strip() for v in self.variant.split(","))
+        for i, variant in enumerate(variants):
+            if variant not in VARIANTS:   # an empty entry too
+                raise ConfigError(f"key 'variant' lists {variant!r}, which is "
+                                  f"not one of {VARIANTS}")
+            if variant in variants[:i]:
+                raise ConfigError(f"key 'variant' lists {variant} more than once")
+        return variants
 
 
 @dataclass(frozen=True)
@@ -173,7 +191,8 @@ class GradCheckSettings:
 
 
 #: each command's settings, then the runtime configs it builds; the seed of
-#: a prior or a fine-tune repetition comes from the command's own seed keys
+#: a prior or a fine-tune repetition comes from the command's own seed keys,
+#: and a fine-tune's variant from its variant list
 PRETRAIN = (
     Binding(PretrainSettings()),
     Binding(ModelConfig()),
@@ -182,5 +201,5 @@ PRETRAIN = (
         ("min_samples", "prior_samples_min"), ("max_samples", "prior_samples_max"))),
 )
 FINETUNE = (Binding(FinetuneSettings()),
-            Binding(FinetuneConfig(), unkeyed=("seed",)))
+            Binding(FinetuneConfig(), unkeyed=("seed", "variant")))
 GRAD_CHECK = (Binding(GradCheckSettings()), Binding(GRAD_CHECK_MODEL))

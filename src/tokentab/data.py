@@ -100,8 +100,8 @@ def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
 
     Columns named in ``categorical`` keep raw string values; every other
     feature column is parsed as numeric. Header names must be distinct and
-    name at least one feature column. The target column must be present
-    and non-missing on every row.
+    name at least one feature column. The target column must be present,
+    not listed in ``categorical``, and non-missing on every row.
     """
     try:
         with open(path, "rb") as fh:
@@ -126,6 +126,9 @@ def load_csv(path, target: str, categorical: list[str]) -> RawDataset:
         unknown = set(categorical) - set(header)
         if unknown:
             raise SchemaError(f"{path}: categorical columns not in header: {sorted(unknown)}")
+        if target in categorical:
+            raise SchemaError(f"{path}: categorical column {target!r} is the "
+                              "target column")
         target_idx = header.index(target)
         feature_names = tuple(h for h in header if h != target)
         kinds = tuple(CATEGORICAL if h in set(categorical) else NUMERICAL

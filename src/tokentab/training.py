@@ -8,8 +8,10 @@ so the test set cannot influence which model is reported.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .autodiff import NumericError, no_grad, softmax_cross_entropy, softmax_rows
 from .data import (
     EncodedDataset,
     NormalizationStats,
+    ParseError,
     RawDataset,
     encode,
     fit_schema,
@@ -121,6 +124,23 @@ class RepetitionReport:
         lines.append(f"{'mean':>6}  {self.mean_auc:>10.4f}  "
                      f"{self.mean_accuracy:>10.4f}")
         return "\n".join(lines)
+
+
+def rank_table(reports: dict[str, RepetitionReport]) -> str:
+    """Per-seed and mean one-vs-one AUC of each variant, in the given order,
+    with its rank by mean AUC (ties keep that order). Which variant wins is
+    an empirical question, so the ranks are reported, never asserted."""
+    order = sorted(reports, key=lambda v: -reports[v].mean_auc)
+    rank = {v: i + 1 for i, v in enumerate(order)}
+    first = next(iter(reports.values()))
+    seed_cols = "  ".join(f"seed{r.seed:>2}" for r in first.results)
+    lines = [f"{'variant':<20} {seed_cols}  {'mean_auc':>9} {'mean_acc':>9} "
+             f"{'rank':>5}"]
+    for v, report in reports.items():
+        per_seed = "  ".join(f"{r.auc:6.4f}" for r in report.results)
+        lines.append(f"{v:<20} {per_seed}  {report.mean_auc:9.4f} "
+                     f"{report.mean_accuracy:9.4f} {rank[v]:>5}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +325,41 @@ def run_protocol(raw: RawDataset, pretrained: InContextClassifier,
         ))
         details.append(RepetitionDetail(int(seed), model, log, schema, stats))
     return RepetitionReport(results), details
+
+
+def _field_problem(name: str, value) -> str | None:
+    """Why ``value`` cannot be epoch-record field ``name``, or None: the
+    epoch is an integer, each metric a number, and a test metric may also
+    be null."""
+    if value is None and name.startswith("test_"):
+        return None
+    wanted, kinds = (("an integer", int) if name == "epoch"
+                     else ("a number", (int, float)))
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return None
+    return f"{name} must be {wanted}, got {value!r}"
+
+
+def read_train_log(path) -> TrainLog:
+    """The epoch records of a ``trainlog_*.jsonl`` file; an undecodable file
+    or a line that is not an epoch record is a ParseError naming the file
+    (and the line)."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            record = EpochRecord(**json.loads(line))
+        except (ValueError, TypeError) as exc:   # not JSON, not a record
+            raise ParseError(f"{path}: line {line_no}: {exc}") from None
+        for f in fields(EpochRecord):
+            problem = _field_problem(f.name, getattr(record, f.name))
+            if problem:
+                raise ParseError(f"{path}: line {line_no}: {problem}")
+        records.append(record)
+    return TrainLog(records)
 
 
 def average_train_logs(logs: list[TrainLog]) -> list[dict]:

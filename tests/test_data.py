@@ -89,6 +89,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="only.csv: no feature column"):
             load_csv(path, target="label", categorical=[])
 
+    def test_categorical_target_is_schema_error_naming_file(self, tmp_path):
+        path = write(tmp_path, "cat.csv", "x,label\n1,y\n2,n\n")
+        with pytest.raises(SchemaError, match="cat.csv: categorical column "
+                                              "'label' is the target column"):
+            load_csv(path, target="label", categorical=["label"])
+
     def test_ragged_row_reports_line_number(self, tmp_path):
         path = write(tmp_path, "t.csv", "a,label\n1,yes\n2\n")
         with pytest.raises(ParseError, match="line 3"):

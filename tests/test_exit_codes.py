@@ -73,12 +73,12 @@ def patched(checkpoint, name, index, value, out):
     return out
 
 
-def write_csv(dir_path, data: bytes):
+def write_csv(dir_path, data: bytes, categorical="c0,c1"):
     """Write ``data`` as the csv of a mixed-dataset descriptor; returns it."""
     (dir_path / "fuzz.csv").write_bytes(data)
     descriptor = dir_path / "fuzz.descriptor"
-    descriptor.write_text("csv = fuzz.csv\ntarget = label\ncategorical = c0,c1\n",
-                          encoding="utf-8")
+    descriptor.write_text("csv = fuzz.csv\ntarget = label\n"
+                          f"categorical = {categorical}\n", encoding="utf-8")
     return descriptor
 
 
@@ -124,14 +124,16 @@ class TestCsvDefects:
         assert evaluate(checkpoints[1], descriptor) == EXIT_DATA
         assert "line 4 has 2 fields, expected 5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, named", [
-        ("label,x1,c0,c1,label\n1,2,u,v,0\n3,4,v,u,1\n",
+    @pytest.mark.parametrize("text, categorical, named", [
+        ("label,x1,c0,c1,label\n1,2,u,v,0\n3,4,v,u,1\n", "c0,c1",
          "column 'label' appears more than once in the header"),
-        ("label\n0\n1\n0\n", "no feature column besides target 'label'"),
-    ], ids=["repeated target", "target only"])
+        ("label\n0\n1\n0\n", "c0,c1", "no feature column besides target 'label'"),
+        (mixed_csv_text(), "c0,c1,label",
+         "categorical column 'label' is the target column"),
+    ], ids=["repeated target", "target only", "categorical target"])
     def test_unusable_header_is_one_data_error_line(
-            self, checkpoints, tmp_path, capsys, text, named):
-        descriptor = write_csv(tmp_path, text.encode("utf-8"))
+            self, checkpoints, tmp_path, capsys, text, categorical, named):
+        descriptor = write_csv(tmp_path, text.encode("utf-8"), categorical)
         for run in (lambda: finetune(checkpoints[0], descriptor, tmp_path / "ft"),
                     lambda: evaluate(checkpoints[1], descriptor)):
             capsys.readouterr()
